@@ -1,11 +1,11 @@
 """Acceptance battery: ten end-to-end checks, one per headline property.
 
-Each criterion function runs a pinned configuration and returns a
-CriterionResult whose details dict records every measured number next to
-its gate.  run_battery executes all ten in order; the `suite` subcommand
-and tests/test_acceptance.py both drive it.  Grids and tolerances here are
-frozen on purpose: these are the configurations the numbers were
-calibrated on, not defaults to tweak.
+Criteria 2-9 are CLI experiments under pinned config overlays: each case is
+resolved by the same merge-and-validate step as `--config`, run by the
+experiment's runner, and must pass every verdict.  Criterion 1 checks the
+propagation engines, which no runner does; criterion 10 reruns the CLI.
+The overlays are frozen: they are the configurations the numbers were
+calibrated on.  The `suite` subcommand and tests/test_acceptance.py run them.
 """
 
 from __future__ import annotations
@@ -19,22 +19,12 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .control import (ControlProblem, adjoint_defect, epsilon_path,
-                      solve_impulse_control, verify_control)
-from .commutator import derivative_bump_scaling, momentum_pair, scaling_fit
-from .grid import Field, axis_coordinates, l2_norm, make_grid
+from . import cli
+from .grid import Field, l2_norm, make_grid
 from .hamiltonian import HamiltonianSpec, gaussian_potential
-from .inequality import (enss_decay, frequency_band_state,
-                         group_velocity_floor, minimal_velocity_decay,
-                         observability_ratio, sharpness_sequence,
-                         uncertainty_norm, uncertainty_norm_dense,
-                         uncertainty_scan, window_localized_state)
-from .propagate import PropagatorPlan, evolve
-from .spectral import Interval, smooth_step
+from .propagate import PropagatorPlan, evolve, free_gaussian_reference
 
-DEFAULT_SEED = 0x5EED
+DEFAULT_SEED = cli.DEFAULT_SEED
 
 
 @dataclass
@@ -42,277 +32,110 @@ class CriterionResult:
     number: int
     name: str
     passed: bool
-    details: dict
+    details: dict   # {"checks": {name: {value, ok}}} or {"cases": [...]}
 
 
-def _result(number, name, checks, extra=None):
-    details = dict(extra or {})
-    details["checks"] = {k: {"value": v, "ok": bool(ok)}
-                         for k, (v, ok) in checks.items()}
+def _result(number, name, checks):
+    details = {"checks": {k: {"value": v, "ok": bool(ok)}
+                          for k, (v, ok) in checks.items()}}
     return CriterionResult(number, name, all(ok for _, ok in checks.values()),
                            details)
-
-
-def _gaussian_packet(grid, width, speed=0.0, center=0.0):
-    x = axis_coordinates(grid)
-    vals = np.exp(-(x - center) ** 2 / (2 * width**2)) * np.exp(1j * speed * x)
-    f = Field(grid, vals.astype(complex))
-    return Field(grid, f.values / l2_norm(f))
 
 
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Engines reproduce the closed-form free Gaussian and each other."""
     g = make_grid(1, 32.0, 1024)
-    x = axis_coordinates(g)
     w = 1.0
-    u0 = Field(g, ((math.pi * w**2) ** -0.25
-                   * np.exp(-x**2 / (2 * w**2))).astype(complex))
+    scale = (math.pi * w**2) ** -0.25          # unit L2 norm
+    u0 = Field(g, scale * free_gaussian_reference(g, w, 0.0).values)
     plan = PropagatorPlan(HamiltonianSpec.free(g))
-    checks = {}
-    units = []
+    checks, units = {}, []
     for t in (0.5, 2.0):
         got = evolve(plan, u0, t)
-        z = w**2 + 2j * t
-        exact = (math.pi * w**2) ** -0.25 * np.sqrt(w**2 / z) \
-            * np.exp(-x**2 / (2 * z))
+        exact = scale * free_gaussian_reference(g, w, t).values
         err = l2_norm(Field(g, got.values - exact))
         checks[f"gaussian_rel_err_t{t:g}"] = (err, err <= 1e-8)
         units.append(abs(l2_norm(got) - 1.0))
 
     g2 = make_grid(1, 16.0, 256)
     spec2 = HamiltonianSpec.with_potential(g2, gaussian_potential(1.0))
-    u2 = _gaussian_packet(g2, 1.0 / math.sqrt(2.0), speed=1.0)
+    u2 = cli._packet_field(g2, {"width": 1.0 / math.sqrt(2.0), "speed": 1.0})
     a = evolve(PropagatorPlan(spec2, "splitstep", dt=1e-3), u2, 1.0)
     b = evolve(PropagatorPlan(spec2, "dense"), u2, 1.0)
     cross = l2_norm(Field(g2, a.values - b.values))
     checks["splitstep_vs_dense"] = (cross, cross <= 1e-6)
-    units += [abs(l2_norm(a) - 1.0), abs(l2_norm(b) - 1.0)]
-    worst_unit = max(units)
+    worst_unit = max(units + [abs(l2_norm(a) - 1.0), abs(l2_norm(b) - 1.0)])
     checks["unitarity"] = (worst_unit, worst_unit <= 1e-10)
     return _result(1, "propagator engines agree with the closed form and "
                       "each other", checks)
 
 
-def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Power iteration vs dense SVD; norm below one; monotone 4x4 scan."""
-    spec = HamiltonianSpec.free(make_grid(1, 32.0, 1024))
-    power = uncertainty_norm(spec, 1.0, 1.0, seed=seed)
-    dense = uncertainty_norm_dense(spec, 1.0, 1.0)
-    gap = abs(power.norm - dense.norm)
-    scan = uncertainty_scan(spec, [0.5, 1.0, 1.5, 2.0], [0.5, 1.0, 1.5, 2.0])
-    checks = {
-        "power_vs_dense": (gap, gap <= 1e-6),
-        "norm_below_one": (dense.norm, dense.norm < 1.0),
-        "monotone_violations": (scan.monotone_violations,
-                                scan.monotone_violations == 0),
-    }
-    return _result(2, "joint ball/band concentration norm is consistent, "
-                      "subunit and monotone", checks,
-                   extra={"power_norm": power.norm, "dense_norm": dense.norm})
+@dataclass(frozen=True)
+class Criterion:
+    """(experiment, config overlay) cases, gated by their runners' verdicts."""
+
+    number: int
+    name: str
+    cases: tuple
+
+    def __call__(self, seed: int = DEFAULT_SEED) -> CriterionResult:
+        records = []
+        for experiment, overlay in self.cases:
+            cfg = cli.resolve_config(experiment, {**overlay, "seed": seed})
+            _, verdicts, _, _ = cli._RUNNERS[experiment](cfg)
+            records.append({"experiment": experiment, "overlay": overlay,
+                            "verdicts": verdicts})
+        passed = all(v["pass"] for r in records for v in r["verdicts"])
+        return CriterionResult(self.number, self.name, passed,
+                               {"cases": records})
 
 
-def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Norms collapse along the dilation invariant R * delta^(1/p)."""
-    r2 = math.sqrt(2.0)
-    c = 2.0 ** (1.0 / 3.0)
-    cases = [
-        ("free", HamiltonianSpec.free(make_grid(1, 64.0, 4096)),
-         [1.0, r2, 2.0, 2 * r2], [0.25, 0.5, 1.0, 2.0]),
-        ("fractional_s1",
-         HamiltonianSpec.fractional(make_grid(1, 256.0, 8192), 1.0),
-         [1.0, 2.0, 4.0, 8.0], [0.125, 0.25, 0.5, 1.0]),
-        ("fractional_s3",
-         HamiltonianSpec.fractional(make_grid(1, 64.0, 4096), 3.0),
-         [1.0, c, c * c, 2.0], [1.0, 2.0, 4.0, 8.0]),
-    ]
-    checks = {}
-    extra = {}
-    for tag, spec, radii, deltas in cases:
-        scan = uncertainty_scan(spec, radii, deltas)
-        checks[f"collapse_{tag}"] = (scan.collapse_spread,
-                                     scan.collapse_spread <= 0.02)
-        extra[f"exponent_{tag}"] = scan.invariant_exponent
-    return _result(3, "concentration norms collapse along the scaling "
-                      "invariant", checks, extra=extra)
+def _grid(half_extent, points):
+    return {"half_extent": half_extent, "points_per_axis": points}
 
 
-def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Interior-cone mass decays fast below half the certified velocity."""
-    checks = {}
-    extra = {}
-    times = np.linspace(5.0, 50.0, 10)
-    window = (1.25, 3.0)
+_WELL = {"kind": "potential", "potential": {"form": "gaussian", "amplitude": 0.25}}
+_S1, _S3 = ({"kind": "fractional", "s": s} for s in (1.0, 3.0))
+_R2, _C3 = math.sqrt(2.0), 2.0 ** (1.0 / 3.0)
 
-    spec = HamiltonianSpec.free(make_grid(1, 320.0, 4096))
-    psi = frequency_band_state(spec, 1.12, 1.70, 0.28)
-    v = 0.5 * group_velocity_floor(spec, window[0])
-    s = minimal_velocity_decay(PropagatorPlan(spec), psi, v, times,
-                               energy_window=window)
-    checks["free_slope"] = (s.fit.slope, s.fit.slope <= -1.8)
-    checks["free_r2"] = (s.fit.r_squared, s.fit.r_squared >= 0.9)
-    extra["free_wrap_mass"] = s.wrap_mass
-    extra["velocity"] = v
-
-    spec_v = HamiltonianSpec.with_potential(make_grid(1, 640.0, 2048),
-                                            gaussian_potential(0.25))
-    psi_v = window_localized_state(spec_v, Interval(*window, include_hi=True),
-                                  1.30, 1.60, 0.14, energy_ramp=0.44)
-    s_v = minimal_velocity_decay(PropagatorPlan(spec_v, "dense"), psi_v, v,
-                                 times, energy_window=window)
-    checks["potential_slope"] = (s_v.fit.slope, s_v.fit.slope <= -1.8)
-    checks["potential_r2"] = (s_v.fit.r_squared, s_v.fit.r_squared >= 0.9)
-    extra["potential_wrap_mass"] = s_v.wrap_mass
-    return _result(4, "evolved states vacate the cone below the certified "
-                      "minimal velocity", checks, extra=extra)
-
-
-def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Outgoing-filtered interior decay, uniform over dilation thresholds."""
-    spec = HamiltonianSpec.free(make_grid(1, 256.0, 1024))
-    res = enss_decay(spec, [-20.0, 0.0, 20.0], 0.5,
-                     np.linspace(5.0, 40.0, 8), window=(1.0, 2.0),
-                     ramp=0.25, interior_fraction=0.3, seed=seed)
-    checks = {}
-    for a, s in zip(res.thresholds, res.series):
-        checks[f"slope_a_{a:g}"] = (s.fit.slope, s.fit.slope <= -0.9)
-    checks["constant_ratio"] = (res.constant_ratio, res.constant_ratio <= 3.0)
-    return _result(5, "outgoing-filtered interior propagator decays "
-                      "uniformly over thresholds", checks,
-                   extra={"mourre_floor": res.mourre_floor,
-                          "constants": list(res.bound_constants)})
-
-
-def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Two-time exterior constants: finite, nonincreasing, shift-invariant."""
-    cases = [
-        ("free", HamiltonianSpec.free(make_grid(1, 320.0, 4096)),
-         {"width": 2.0, "speed": 1.25}, 1.0, 0.25),
-        ("fractional_s1",
-         HamiltonianSpec.fractional(make_grid(1, 64.0, 2048), 1.0),
-         {"width": 4.0, "speed": 4.0}, 0.5, 1.0),
-    ]
-    checks = {}
-    extra = {}
-    for tag, spec, packet, sigma, t1 in cases:
-        plan = PropagatorPlan(spec)
-        u0 = _gaussian_packet(spec.grid, packet["width"],
-                              speed=packet["speed"])
-        runs = [observability_ratio(plan, u0, 1.0, t1, t1 + gap, sigma)
-                for gap in (10.0, 20.0, 40.0)]
-        ratios = [r.ratio for r in runs]
-        finite = all(math.isfinite(v) and v > 0 for v in ratios)
-        noninc = all(x >= y for x, y in zip(ratios, ratios[1:]))
-        red = max(r.reduction_deviation for r in runs)
-        checks[f"{tag}_finite"] = (finite, finite)
-        checks[f"{tag}_nonincreasing"] = (noninc, noninc)
-        checks[f"{tag}_reduction"] = (red, red <= 1e-8)
-        extra[f"{tag}_ratios"] = ratios
-    return _result(6, "exterior two-time observability constants are finite "
-                      "and nonincreasing in the gap", checks, extra=extra)
-
-
-def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Concentrating data drives both observation columns to zero."""
-    def datum(grid):
-        x = axis_coordinates(grid)
-        vals = x * np.exp(-16.0 * x**2) * smooth_step((0.9 - np.abs(x)) / 0.1)
-        f = Field(grid, vals.astype(complex))
-        return Field(grid, f.values / l2_norm(f))
-
-    big = make_grid(1, 512.0, 131072)
-    cases = [
-        ("free", PropagatorPlan(HamiltonianSpec.free(big))),
-        ("potential",
-         PropagatorPlan(HamiltonianSpec.with_potential(
-             big, gaussian_potential(0.25)), "splitstep", dt=2e-3)),
-        ("fractional_s1",
-         PropagatorPlan(HamiltonianSpec.fractional(make_grid(1, 8.0, 2048),
-                                                   1.0))),
-    ]
-    checks = {}
-    extra = {}
-    for tag, plan in cases:
-        table = sharpness_sequence(plan, datum(plan.hamiltonian.grid),
-                                   [1, 2, 4, 8], 1.0 / 16.0, 0.5, 1.0)
-        checks[f"{tag}_decreasing"] = (table.both_decreasing,
-                                       table.both_decreasing)
-        checks[f"{tag}_exterior_final"] = (table.final_fraction_exterior,
-                                           table.final_fraction_exterior <= 0.1)
-        checks[f"{tag}_interior_final"] = (table.final_fraction_interior,
-                                           table.final_fraction_interior <= 0.1)
-        extra[f"{tag}_wrap_mass"] = table.wrap_mass
-    return _result(7, "concentrating the datum defeats fixed-region "
-                      "single-time observation", checks, extra=extra)
-
-
-def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Impulse control: exact trivial case, adjoint identity, epsilon path,
-    cross-engine residual."""
-    g = make_grid(1, 32.0, 512)
-    spec = HamiltonianSpec.free(g)
-    plan = PropagatorPlan(spec)
-    w = 1.0 / math.sqrt(2.0)
-    u0 = _gaussian_packet(g, w)
-    u_t = _gaussian_packet(g, w, speed=1.0, center=3.0)
-    problem = ControlProblem(spec, u0, u_t, 0.5, 1.0, 2.0, 0.0, 1.0)
-
-    drift = evolve(plan, u0, problem.horizon)
-    zero_sol = solve_impulse_control(
-        plan, ControlProblem(spec, u0, drift, 0.5, 1.0, 2.0, 0.0, 1.0), 1e-6)
-    zero_ok = zero_sol.cost == 0.0 and zero_sol.terminal_error == 0.0
-
-    adjoint = adjoint_defect(plan, problem, seed=seed)
-    path = epsilon_path(plan, problem, (1e-2, 1e-4, 1e-6))
-    final = path[-1]
-    ynorm = l2_norm(Field(g, u_t.values - drift.values))
-    rel = final.terminal_error / ynorm
-    terms = [s.terminal_error for s in path]
-    costs = [s.cost for s in path]
-    monotone = (all(a > b for a, b in zip(terms, terms[1:]))
-                and all(a < b for a, b in zip(costs, costs[1:])))
-    check = verify_control(plan, problem, final)
-
-    checks = {
-        "zero_target_exact": (zero_ok, zero_ok),
-        "adjoint_defect": (adjoint, adjoint <= 1e-8),
-        "terminal_rel": (rel, rel <= 1e-3),
-        "epsilon_path_monotone": (monotone, monotone),
-        "cross_engine_factor": (check.within_factor,
-                                check.within_factor <= 2.0),
-        "support_violation": (check.support_violation,
-                              check.support_violation == 0.0),
-    }
-    return _result(8, "impulse control reaches the target with consistent "
-                      "adjoint and verification", checks,
-                   extra={"costs": costs, "terminal_errors": terms,
-                          "verify_engine": check.engine_used})
-
-
-def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Band-cutoff commutator norms sit under one fitted envelope and decay;
-    the derivative-bump exponents are exact."""
-    fit = scaling_fit(momentum_pair())
-    bump = derivative_bump_scaling()
-    checks = {
-        "envelope_bound": (fit.bounds_ok, fit.bounds_ok),
-        "slope": (fit.slope, fit.slope <= -0.70),
-        "bump_l2_exponent": (bump.exponent_l2,
-                             abs(bump.exponent_l2 + 0.5) <= 0.025),
-        "bump_grad_exponent": (bump.exponent_grad,
-                               abs(bump.exponent_grad + 1.5) <= 0.075),
-    }
-    return _result(9, "band-cutoff commutator norms decay with the band "
-                      "scale under a single fitted constant", checks,
-                   extra={"c_hat": fit.c_hat, "m_ab": fit.m_ab,
-                          "norms": list(fit.norms)})
+# (number, name, cases).  Criterion 3 pairs radii and thresholds at equal
+# R delta^(1/p), for p = 2, 1 and 3.
+_RUNNER_CRITERIA = tuple(Criterion(*c) for c in (
+    (2, "joint ball/band concentration norm is consistent, subunit and monotone",
+     (("uncertainty", {}),)),
+    (3, "concentration norms collapse along the scaling invariant", (
+        ("uncertainty", {"grid": _grid(64.0, 4096), "parameters": {
+            "radii": [1.0, _R2, 2.0, 2 * _R2], "thresholds": [0.25, 0.5, 1.0, 2.0]}}),
+        ("uncertainty", {"grid": _grid(256.0, 8192), "hamiltonian": _S1, "parameters": {
+            "radii": [1.0, 2.0, 4.0, 8.0], "thresholds": [0.125, 0.25, 0.5, 1.0]}}),
+        ("uncertainty", {"grid": _grid(64.0, 4096), "hamiltonian": _S3, "parameters": {
+            "radii": [1.0, _C3, _C3 * _C3, 2.0], "thresholds": [1.0, 2.0, 4.0, 8.0]}}))),
+    (4, "evolved states vacate the cone below the certified minimal velocity", (
+        ("minimal-velocity", {}),
+        ("minimal-velocity", {"grid": _grid(640.0, 2048), "hamiltonian": _WELL, "engine": "dense",
+                              "parameters": {"state": "window", "band": [1.30, 1.60],
+                                             "band_ramp": 0.14, "energy_ramp": 0.44}}))),
+    (5, "outgoing-filtered interior propagator decays uniformly over thresholds",
+     (("enss", {}),)),
+    (6, "exterior two-time observability constants are finite and nonincreasing in the gap", (
+        ("observability", {}),
+        ("observability", {"grid": _grid(64.0, 2048), "hamiltonian": _S1, "parameters": {
+            "packet": {"width": 4.0, "speed": 4.0}, "sigma": 0.5, "t1": 1.0}}))),
+    (7, "concentrating the datum defeats fixed-region single-time observation", (
+        ("sharpness", {}),
+        ("sharpness", {"hamiltonian": _WELL, "engine": "splitstep"}),
+        ("sharpness", {"grid": _grid(8.0, 2048), "hamiltonian": _S1}))),
+    (8, "impulse control reaches the target with consistent adjoint and verification",
+     (("control", {}),)),
+    (9, "band-cutoff commutator norms decay with the band scale under a single fitted constant",
+     (("commutator", {}),)),
+))
 
 
 def criterion_10(seed: int = DEFAULT_SEED,
                  scratch_dir: str | None = None) -> CriterionResult:
     """Rerunning a config with the same seed reproduces reports byte for
     byte (CSV series included)."""
-    from .cli import run
-
     checks = {}
     root = Path(tempfile.mkdtemp(prefix="obslab_det_", dir=scratch_dir))
     try:
@@ -320,33 +143,23 @@ def criterion_10(seed: int = DEFAULT_SEED,
                                    ("control", "epsilon_path.csv")):
             dirs = [root / f"{experiment}_{i}" for i in (0, 1)]
             with contextlib.redirect_stdout(io.StringIO()):
-                codes = [run(experiment, None, str(d), seed=seed)
+                codes = [cli.run(experiment, None, str(d), seed=seed)
                          for d in dirs]
-            same_report = filecmp.cmp(dirs[0] / "report.json",
-                                      dirs[1] / "report.json", shallow=False)
-            same_series = filecmp.cmp(dirs[0] / series, dirs[1] / series,
-                                      shallow=False)
             checks[f"{experiment}_exit_codes"] = (codes, codes == [0, 0])
-            checks[f"{experiment}_report_identical"] = (same_report,
-                                                        same_report)
-            checks[f"{experiment}_series_identical"] = (same_series,
-                                                        same_series)
+            for tag, name in (("report", "report.json"), ("series", series)):
+                same = filecmp.cmp(dirs[0] / name, dirs[1] / name,
+                                   shallow=False)
+                checks[f"{experiment}_{tag}_identical"] = (same, same)
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return _result(10, "reports are byte-deterministic for a fixed seed",
                    checks)
 
 
-CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-            criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
+CRITERIA = (criterion_1, *_RUNNER_CRITERIA, criterion_10)
 
 
 def run_battery(seed: int = DEFAULT_SEED,
                 scratch_dir: str | None = None) -> list[CriterionResult]:
-    results = []
-    for fn in CRITERIA:
-        if fn is criterion_10:
-            results.append(fn(seed, scratch_dir=scratch_dir))
-        else:
-            results.append(fn(seed))
-    return results
+    return [fn(seed, scratch_dir=scratch_dir) if fn is criterion_10
+            else fn(seed) for fn in CRITERIA]

@@ -352,14 +352,21 @@ def _deep_merge(base, override):
 
 
 def load_config(experiment: str, path: str | None) -> dict:
-    """Canned defaults overlaid with the user's JSON; schema errors raise."""
-    import jsonschema
-
-    merged = json.loads(json.dumps(DEFAULTS[experiment]))  # deep copy
+    """Canned defaults overlaid with the user's JSON file; see resolve_config."""
+    overlay = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
-        merged = _deep_merge(merged, user)
+            overlay = json.load(fh)
+    return resolve_config(experiment, overlay)
+
+
+def resolve_config(experiment: str, overlay: dict) -> dict:
+    """Canned defaults overlaid with `overlay`; schema errors raise."""
+    import jsonschema
+
+    # the round trip deep-copies, so the result shares nothing with
+    # DEFAULTS or the overlay
+    merged = json.loads(json.dumps(_deep_merge(DEFAULTS[experiment], overlay)))
     jsonschema.validate(merged, CONFIG_SCHEMA)
     if merged["experiment"] != experiment:
         raise ValueError(
@@ -690,7 +697,7 @@ def _run_observability(cfg):
         runs.append(observability_ratio(plan, u0, p["radius"], p["t1"],
                                         p["t1"] + gap, p["sigma"], mtf))
     ratios = [r.ratio for r in runs]
-    finite = all(math.isfinite(r) for r in ratios)
+    finite = all(math.isfinite(r) and r > 0 for r in ratios)
     nonincreasing = all(a >= b for a, b in zip(ratios, ratios[1:]))
     verdicts = [
         _verdict("constants_finite", finite, True, "==",

@@ -249,26 +249,3 @@ def epsilon_path(plan: PropagatorPlan, problem: ControlProblem,
         raise ValueError("epsilons must be strictly decreasing")
     return [solve_impulse_control(plan, problem, e) for e in eps]
 
-
-def cost_constant(plan: PropagatorPlan, problem: ControlProblem,
-                  epsilon: float, pairs: int = 5,
-                  seed: int = POWER_SEED) -> list:
-    """Empirical cost/||y||^2 over random (u0, u_target) pairs, fixed geometry."""
-    g = problem.hamiltonian.grid
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(pairs):
-        a = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        b = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        ua, ub = Field(g, a), Field(g, b)
-        ua = Field(g, ua.values / l2_norm(ua))
-        ub = Field(g, ub.values / l2_norm(ub))
-        prob = ControlProblem(problem.hamiltonian, ua, ub, problem.tau1,
-                              problem.tau2, problem.horizon, problem.radius,
-                              problem.sigma, problem.min_time_factor)
-        sol = solve_impulse_control(plan, prob, epsilon)
-        drift = evolve(plan, ua, problem.horizon)
-        yv = ub.values - drift.values
-        ynorm2 = g.cell_volume * float(np.vdot(yv, yv).real)
-        out.append(sol.cost / ynorm2 if ynorm2 > 0 else 0.0)
-    return out

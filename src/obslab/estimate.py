@@ -49,11 +49,6 @@ def gram_operator_norm(apply_gram, n: int, tol: float = POWER_TOL,
     return PowerResult(float(np.sqrt(max(lam, 0.0))), max_iter, residual, False)
 
 
-def matrix_operator_norm(apply_op, apply_adjoint, n: int, **kw) -> PowerResult:
-    """||K|| for a general K given by its action and adjoint action."""
-    return gram_operator_norm(lambda v: apply_adjoint(apply_op(v)), n, **kw)
-
-
 @dataclass
 class LogLogFit:
     slope: float

@@ -19,16 +19,13 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .estimate import (POWER_MAX_ITER, POWER_SEED, POWER_TOL, LogLogFit,
-                       PowerResult, gram_operator_norm, loglog_fit)
+                       gram_operator_norm, loglog_fit)
 from .grid import (Field, RegionMask, boundary_shell_mass, freq_radius_squared,
                    l2_norm, mass_in_region, radius_squared)
 from .hamiltonian import HamiltonianSpec, kinetic_symbol
 from .propagate import PropagatorPlan, evolve, evolve_series, engine_cross_check
-from .spectral import (DilationProjector, Interval, decompose_dilation,
-                       decompose_hamiltonian, project_dilation, smooth_bump,
+from .spectral import (Interval, decompose_dilation, decompose_hamiltonian,
                        smooth_step)
-
-WRAP_TOLERANCE = 1e-8
 
 
 def group_velocity_floor(spec: HamiltonianSpec, theta: float) -> float:
@@ -381,21 +378,6 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
                              v, "outgoing_norm(max over a)")
     return EnssResult(list(a_values), results, constants, ratio, theta,
                       max_series)
-
-
-def disjoint_dilation_check(spec: HamiltonianSpec, a: float, seed: int = POWER_SEED) -> float:
-    """||chi^-(A - a) chi^+(A - a)|| -- complementary projections, norm 0."""
-    from .hamiltonian import dilation_generator
-    A = dilation_generator(spec.grid)
-    eig = decompose_dilation(A)
-    plus = DilationProjector(eig, 1, a)
-    minus = DilationProjector(eig, -1, a)
-
-    def gram(v):
-        w = minus.apply(plus.apply(v))
-        return plus.apply(minus.apply(w))
-
-    return gram_operator_norm(gram, spec.grid.dofs, seed=seed).value
 
 
 # ---------------------------------------------------------------------------

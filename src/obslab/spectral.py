@@ -3,10 +3,8 @@
 Multiplier Hamiltonians get their calculus directly on the frequency lattice;
 potential kinds go through a dense eigendecomposition (capped at 4096 dofs).
 
-One fixed C-infinity bump serves every smooth cutoff in the package: support
-in [5/8, 3/2], identically 1 on [3/4, 5/4], built from the exp(-1/x)
-mollifier.  It is the difference of two smooth steps, so the dyadic family
-g(lambda / 2^k) telescopes exactly against the low-pass piece.
+Every smooth cutoff in the package is built from smooth_step, a C-infinity
+step made of the exp(-1/x) mollifier.
 """
 
 from __future__ import annotations
@@ -39,21 +37,6 @@ def smooth_step(u) -> np.ndarray:
     return out
 
 
-def low_pass_profile(lam) -> np.ndarray:
-    """Smooth step down: 1 for lambda <= 5/4, 0 for lambda >= 3/2."""
-    lam = np.asarray(lam, dtype=float)
-    return smooth_step((1.5 - lam) * 4.0)
-
-
-def smooth_bump(lam) -> np.ndarray:
-    """The shared bump: low_pass(lam) - low_pass(2 lam).
-
-    Support [5/8, 3/2], plateau [3/4, 5/4], values in [0, 1], total variation 2.
-    """
-    lam = np.asarray(lam, dtype=float)
-    return low_pass_profile(lam) - low_pass_profile(2.0 * lam)
-
-
 @dataclass(frozen=True)
 class Interval:
     """Spectral window [lo, hi); set include_hi for the closed right end.
@@ -71,14 +54,6 @@ class Interval:
             raise ValueError(f"empty interval [{self.lo}, {self.hi})")
 
     @classmethod
-    def at_most(cls, hi: float) -> "Interval":
-        return cls(-math.inf, hi, include_hi=True)
-
-    @classmethod
-    def at_least(cls, lo: float) -> "Interval":
-        return cls(lo, math.inf)
-
-    @classmethod
     def window(cls, lo: float, hi: float) -> "Interval":
         return cls(lo, hi)
 
@@ -88,19 +63,6 @@ class Interval:
         if self.include_hi:
             inside |= lam == self.hi
         return inside
-
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        if self.hi < other.hi:
-            hi, inc = self.hi, self.include_hi
-        elif other.hi < self.hi:
-            hi, inc = other.hi, other.include_hi
-        else:
-            hi, inc = self.hi, self.include_hi and other.include_hi
-        if lo > hi or (lo == hi and not inc):
-            # canonical empty window
-            return Interval(lo, lo, include_hi=False) if lo == hi else Interval(hi, hi, False)
-        return Interval(lo, hi, inc)
 
 
 @dataclass(eq=False)
@@ -139,7 +101,7 @@ def decompose_dilation(a: DilationMatrix) -> EigenDecomposition:
     return a._eig
 
 
-def _symbol_multiplier(spec: HamiltonianSpec, weights: np.ndarray, field: Field) -> Field:
+def _symbol_multiplier(weights: np.ndarray, field: Field) -> Field:
     return Field(field.grid, np.fft.ifftn(weights * np.fft.fftn(field.values)))
 
 
@@ -147,7 +109,7 @@ def project_energy(spec: HamiltonianSpec, interval: Interval, field: Field) -> F
     """Sharp projection chi_I(H) f."""
     if spec.is_multiplier:
         mask = interval.contains(kinetic_symbol(spec)).astype(float)
-        return _symbol_multiplier(spec, mask, field)
+        return _symbol_multiplier(mask, field)
     eig = decompose_hamiltonian(spec)
     idx = eig.projector_indices(interval)
     vi = eig.vectors[:, idx]
@@ -158,50 +120,6 @@ def project_energy(spec: HamiltonianSpec, interval: Interval, field: Field) -> F
 def apply_spectral_function(spec: HamiltonianSpec, fn, field: Field) -> Field:
     """f(H) applied through the multiplier or eigenbasis route."""
     if spec.is_multiplier:
-        return _symbol_multiplier(spec, np.asarray(fn(kinetic_symbol(spec)), dtype=float), field)
+        return _symbol_multiplier(np.asarray(fn(kinetic_symbol(spec)), dtype=float), field)
     eig = decompose_hamiltonian(spec)
     return Field(field.grid, eig.apply_function(fn, field.values))
-
-
-def dyadic_cutoff(spec: HamiltonianSpec, k: int, field: Field) -> Field:
-    """g(H / 2^k) with the shared bump."""
-    scale = 2.0**k
-    return apply_spectral_function(spec, lambda lam: smooth_bump(lam / scale), field)
-
-
-def low_pass(spec: HamiltonianSpec, field: Field) -> Field:
-    """The partition complement: low_pass_profile(H) f."""
-    return apply_spectral_function(spec, low_pass_profile, field)
-
-
-def smooth_window(spec: HamiltonianSpec, scale: float, field: Field) -> Field:
-    """g(H / scale): smooth cutoff onto energies in [5/8, 3/2] * scale."""
-    return apply_spectral_function(spec, lambda lam: smooth_bump(lam / scale), field)
-
-
-@dataclass(eq=False)
-class DilationProjector:
-    """chi^{+/-}(A - a); eigenvalues equal to a go with the + side."""
-
-    eig: EigenDecomposition
-    sign: int      # +1 or -1
-    threshold: float
-
-    def indices(self) -> np.ndarray:
-        lam = self.eig.eigenvalues
-        keep = lam >= self.threshold if self.sign > 0 else lam < self.threshold
-        return np.nonzero(keep)[0]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        vi = self.eig.vectors[:, self.indices()]
-        return vi @ (vi.conj().T @ values)
-
-    def matrix(self) -> np.ndarray:
-        vi = self.eig.vectors[:, self.indices()]
-        return vi @ vi.conj().T
-
-
-def project_dilation(a: DilationMatrix, sign: int, threshold: float) -> DilationProjector:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return DilationProjector(decompose_dilation(a), sign, threshold)

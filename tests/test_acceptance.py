@@ -1,8 +1,9 @@
 """Acceptance battery: each numbered criterion is one test below, so a
 verbose run prints exactly one pass/fail line per criterion.
 
-The heavy geometries live in obslab.acceptance; thresholds are asserted
-there and surfaced here through CriterionResult.details.
+The pinned cases live in obslab.acceptance; their gates are the CLI
+runners' verdicts (criteria 1 and 10 keep their own checks), surfaced here
+through CriterionResult.details.
 """
 
 import pytest
@@ -13,6 +14,9 @@ from obslab import acceptance
 def _describe(result):
     failing = {k: v for k, v in result.details.get("checks", {}).items()
                if not v["ok"]}
+    failing.update({f"{case['experiment']} {case['overlay']}: {v['name']}": v
+                    for case in result.details.get("cases", [])
+                    for v in case["verdicts"] if not v["pass"]})
     return (f"criterion {result.number} ({result.name}) failed; "
             f"failing checks: {failing}")
 

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from obslab import __version__, cli
+from obslab import __version__, acceptance, cli
 from obslab.grid import Field, make_grid
 
 
@@ -74,6 +74,16 @@ def test_experiment_name_must_match(tmp_path):
     path = write_config(tmp_path / "cfg.json", {"experiment": "control"})
     with pytest.raises(ValueError, match="subcommand"):
         cli.load_config("uncertainty", path)
+
+
+def test_acceptance_overlays_resolve():
+    # schema drift in a pinned acceptance case fails here, without a run
+    criteria = acceptance.CRITERIA[1:-1]
+    assert [c.number for c in criteria] == list(range(2, 10))
+    for criterion in criteria:
+        for experiment, overlay in criterion.cases:
+            assert cli.resolve_config(experiment, overlay)["experiment"] \
+                == experiment
 
 
 # --- emission ---------------------------------------------------------------
@@ -184,6 +194,22 @@ def test_runner_failure_writes_nothing(tmp_path, capsys):
     assert cli.run("minimal-velocity", path, str(out)) == 1
     assert not out.exists()
     assert "run failed" in capsys.readouterr().err
+
+
+def test_acceptance_gates_on_runner_verdicts(monkeypatch):
+    seen = []
+
+    def planted(cfg):
+        seen.append(cfg)
+        return {}, [cli._verdict("planted", 1.0, 0.0, "<=", "planted")], [], []
+
+    monkeypatch.setitem(cli._RUNNERS, "control", planted)
+    result = acceptance.CRITERIA[7]()
+    assert result.number == 8 and not result.passed
+    assert seen == [cli.resolve_config("control", {})]
+    failing = [v["name"] for case in result.details["cases"]
+               for v in case["verdicts"] if not v["pass"]]
+    assert failing == ["planted"]
 
 
 # --- entry point ------------------------------------------------------------

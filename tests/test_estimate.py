@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from obslab.estimate import (LogLogFit, PowerResult, gram_operator_norm,
-                             loglog_fit, matrix_operator_norm, probe_vector)
+                             loglog_fit, probe_vector)
 
 
 def test_probe_vector_is_deterministic_and_unit():
@@ -22,9 +22,6 @@ def test_power_iteration_matches_svd():
     res = gram_operator_norm(lambda v: k.conj().T @ (k @ v), 48, tol=1e-10)
     assert res.converged
     assert res.value == pytest.approx(top, rel=1e-8)
-    res2 = matrix_operator_norm(lambda v: k @ v, lambda v: k.conj().T @ v, 48,
-                                tol=1e-10)
-    assert res2.value == pytest.approx(top, rel=1e-8)
 
 
 def test_power_iteration_zero_operator_short_circuits():

@@ -7,9 +7,9 @@ import pytest
 
 from obslab.grid import Field, make_grid
 from obslab.hamiltonian import HamiltonianSpec, gaussian_potential
-from obslab.inequality import (disjoint_dilation_check, enss_decay,
-                               frequency_band_state, group_velocity_floor,
-                               minimal_velocity_decay, observability_ratio,
+from obslab.inequality import (enss_decay, frequency_band_state,
+                               group_velocity_floor, minimal_velocity_decay,
+                               observability_ratio,
                                sharpness_sequence, uncertainty_norm,
                                uncertainty_norm_dense, uncertainty_scan,
                                window_localized_state)
@@ -198,11 +198,6 @@ def test_outgoing_guards():
         enss_decay(spec, [0.0], 0.5, [4.0, 8.0], window=(1.0, 2.0), ramp=0.6)
     with pytest.raises(ValueError, match="v must"):
         enss_decay(spec, [0.0], 2.0, [4.0, 8.0])
-
-
-def test_opposite_dilation_halves_disjoint():
-    spec = HamiltonianSpec(make_grid(1, 32.0, 256), "free")
-    assert disjoint_dilation_check(spec, 0.0) < 1e-8
 
 
 # --- two-time observability -------------------------------------------------
