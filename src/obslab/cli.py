@@ -431,7 +431,8 @@ def emit_field(path_base, field) -> None:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for deterministic JSON."""
+    """Recursively convert numpy scalars/arrays for deterministic strict JSON;
+    non-finite floats become the strings "nan", "inf" and "-inf"."""
     import numpy as np
 
     if isinstance(obj, dict):
@@ -444,10 +445,10 @@ def _plain(obj):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, float) and math.isnan(obj):
-        return "nan"
     return obj
 
 
@@ -1002,7 +1003,7 @@ def run(experiment: str, config_path: str | None, out_dir: str,
 
     report = {
         "experiment": experiment,
-        "config": cfg,
+        "config": _plain(cfg),
         "version": __version__,
         "results": _plain(results),
         "verdicts": _plain(verdicts),
@@ -1011,7 +1012,8 @@ def run(experiment: str, config_path: str | None, out_dir: str,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report_bytes = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    report_bytes = (json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n").encode()
     (out / "report.json").write_bytes(report_bytes)
     meta = {
         "wall_clock_seconds": elapsed,

@@ -56,12 +56,12 @@ class ControlProblem:
     def second_radius(self) -> float:
         if self.radius == 0:
             return 0.0
-        p = self.hamiltonian.scaling_exponent
+        p = self.hamiltonian.s
         return self.sigma * (self.tau2 - self.tau1) / self.radius ** (p - 1.0)
 
     @property
     def window_ok(self) -> bool:
-        p = self.hamiltonian.scaling_exponent
+        p = self.hamiltonian.s
         return self.tau2 - self.tau1 > self.radius**p * self.min_time_factor
 
     def snapped_to(self, plan: "PropagatorPlan") -> "ControlProblem":

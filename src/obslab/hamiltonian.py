@@ -71,7 +71,7 @@ def ball_potential(amplitude: float = 1.0, radius: float = 1.0) -> PotentialSpec
 class HamiltonianSpec:
     grid: GridSpec
     kind: str = "free"
-    s: float = 2.0          # symbol exponent; 2 except for fractional
+    s: float = 2.0          # symbol exponent = scaling degree; 2 except for fractional
     c: float = 0.0          # inverse-square coupling
     potential: PotentialSpec | None = None
     convention: str = "full"
@@ -114,24 +114,15 @@ class HamiltonianSpec:
         return 1.0 if self.convention == "full" else 0.5
 
     @property
-    def symbol_exponent(self) -> float:
-        return self.s if self.kind == "fractional" else 2.0
-
-    @property
     def is_multiplier(self) -> bool:
         """True when H is diagonal in frequency space."""
         return self.kind in ("free", "fractional")
-
-    @property
-    def scaling_exponent(self) -> float:
-        """Homogeneity degree p with U_R^-1 H_R U_R = R^p H; s for fractional, else 2."""
-        return self.symbol_exponent
 
 
 @lru_cache(maxsize=16)
 def kinetic_symbol(spec: HamiltonianSpec) -> np.ndarray:
     xi2 = freq_radius_squared(spec.grid)
-    p = spec.symbol_exponent
+    p = spec.s
     sym = xi2.copy() if p == 2.0 else xi2 ** (p / 2.0)
     sym *= spec.kinetic_prefactor
     sym.flags.writeable = False

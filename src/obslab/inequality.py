@@ -24,8 +24,8 @@ from .grid import (Field, RegionMask, boundary_shell_mass, freq_radius_squared,
                    l2_norm, mass_in_region, radius_squared)
 from .hamiltonian import HamiltonianSpec, kinetic_symbol
 from .propagate import PropagatorPlan, evolve, evolve_series, engine_cross_check
-from .spectral import (Interval, decompose_dilation, decompose_hamiltonian,
-                       smooth_step)
+from .spectral import (Interval, calculus, decompose_dilation,
+                       decompose_hamiltonian, smooth_step)
 
 
 def group_velocity_floor(spec: HamiltonianSpec, theta: float) -> float:
@@ -33,7 +33,7 @@ def group_velocity_floor(spec: HamiltonianSpec, theta: float) -> float:
     if theta <= 0:
         raise ValueError("theta must be positive")
     kappa = spec.kinetic_prefactor
-    s = spec.symbol_exponent
+    s = spec.s
     # invert lambda = kappa |xi|^s, speed = kappa s |xi|^{s-1}
     xi = (theta / kappa) ** (1.0 / s)
     return kappa * s * xi ** (s - 1.0)
@@ -53,27 +53,6 @@ class UncertaintyResult:
     method: str
 
 
-def _band_projector(spec: HamiltonianSpec, window: Interval):
-    """Return (apply, modes) for chi_window(H) on flattened vectors."""
-    if spec.is_multiplier:
-        mask = window.contains(kinetic_symbol(spec)).astype(float)
-        shape = spec.grid.shape
-        modes = int(mask.sum())
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            return np.fft.ifftn(mask * np.fft.fftn(v.reshape(shape))).ravel()
-
-        return apply, modes
-    eig = decompose_hamiltonian(spec)
-    idx = eig.projector_indices(window)
-    vi = eig.vectors[:, idx]
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return vi @ (vi.conj().T @ v)
-
-    return apply, idx.size
-
-
 def uncertainty_norm(spec: HamiltonianSpec, radius: float, threshold: float,
                      energy_floor: float = -math.inf, tol: float = POWER_TOL,
                      max_iter: int = POWER_MAX_ITER,
@@ -84,15 +63,15 @@ def uncertainty_norm(spec: HamiltonianSpec, radius: float, threshold: float,
     which is how a zero mode gets excluded.
     """
     window = Interval(energy_floor, threshold, include_hi=True)
-    proj, modes = _band_projector(spec, window)
-    if modes == 0:
+    calc = calculus(spec)
+    if not window.contains(calc.spectrum).any():
         return UncertaintyResult(radius, threshold, 0.0, 0, 0.0, True, "empty")
+    proj = calc.projector(window)
     inside = (radius_squared(spec.grid) <= radius**2).ravel()
 
     def gram(v: np.ndarray) -> np.ndarray:
-        w = proj(v)
-        w = np.where(inside, w, 0.0)
-        return proj(w)
+        w = np.where(inside, proj(v).ravel(), 0.0)
+        return proj(w).ravel()
 
     r = gram_operator_norm(gram, spec.grid.dofs, tol=tol, max_iter=max_iter, seed=seed)
     return UncertaintyResult(radius, threshold, r.value, r.iterations,
@@ -169,7 +148,7 @@ def uncertainty_scan(spec: HamiltonianSpec, radii, thresholds,
     for j in range(thresholds.size):
         violations += int(np.sum(np.diff(norms[:, j]) < -slack))
 
-    p = spec.scaling_exponent
+    p = spec.s
     inv = radii[:, None] * thresholds[None, :] ** (1.0 / p)
     order = np.argsort(inv.ravel())
     flat_inv = inv.ravel()[order]
@@ -222,11 +201,11 @@ def window_localized_state(spec: HamiltonianSpec, window: Interval,
         return psi
     if window.hi - window.lo <= 2 * energy_ramp:
         raise ValueError("energy_ramp too wide for the window")
-    dec = decompose_hamiltonian(spec)
-    lam = dec.eigenvalues
+    calc = calculus(spec)
+    lam = calc.spectrum
     profile = (smooth_step((lam - window.lo) / energy_ramp)
                * smooth_step((window.hi - lam) / energy_ramp))
-    v = dec.vectors @ (profile * (dec.vectors.conj().T @ psi.values))
+    v = calc.apply(profile, psi.values)
     v = v / np.sqrt(spec.grid.cell_volume * np.vdot(v, v).real)
     return Field(spec.grid, v)
 
@@ -328,28 +307,20 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
         raise ValueError(f"v must lie in (0, {v_cap:.3f}) for this window")
     A = dilation_generator(g)
     eig_a = decompose_dilation(A)
-    heig = decompose_hamiltonian(spec)
+    heig = decompose_hamiltonian(spec)   # dense even for multiplier kinds
     lam = heig.eigenvalues
     box = smooth_step((lam - lo) / ramp) * smooth_step((hi - lam) / ramp)
     r0 = interior_fraction * g.half_extent
     xw = np.abs(axis_coordinates(g))
     w_spatial = smooth_step((4.0 * r0 / 3.0 - xw) / (r0 / 3.0))
-    wa = eig_a.vectors                   # A eigenbasis
-    vh = heig.vectors                    # H eigenbasis
     alpha = eig_a.eigenvalues
     times = np.asarray(times, dtype=float)
 
-    def forward(x, mask_plus, mask_minus, phase):
-        z = w_spatial * x
-        z = wa @ (mask_plus * (wa.conj().T @ z))
-        z = vh @ (phase * box * (vh.conj().T @ z))
-        return w_spatial * (wa @ (mask_minus * (wa.conj().T @ z)))
-
-    def backward(y, mask_plus, mask_minus, phase):
-        z = wa @ (mask_minus * (wa.conj().T @ (w_spatial * y)))
-        z = vh @ (np.conj(phase) * box * (vh.conj().T @ z))
-        z = wa @ (mask_plus * (wa.conj().T @ z))
-        return w_spatial * z
+    def chain(x, first, middle, last):
+        """W chi_last(A) f_middle(H) chi_first(A) W x, each factor as weights."""
+        z = eig_a.apply(first, w_spatial * x)
+        z = heig.apply(middle, z)
+        return w_spatial * eig_a.apply(last, z)
 
     results = []
     constants = []
@@ -360,8 +331,9 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
         for i, t in enumerate(times):
             mask_minus = (alpha < a + v * t).astype(float)
             phase = np.exp(-1j * t * lam)
-            gram = lambda x: backward(forward(x, mask_plus, mask_minus, phase),
-                                      mask_plus, mask_minus, phase)
+            ahead, back = phase * box, np.conj(phase) * box
+            gram = lambda x: chain(chain(x, mask_plus, ahead, mask_minus),
+                                   mask_minus, back, mask_plus)
             res = gram_operator_norm(gram, g.dofs, seed=seed)
             norms[i] = res.value
             flags.append(res.converged)
@@ -414,7 +386,7 @@ def observability_ratio(plan: PropagatorPlan, u0: Field, radius: float,
     if not t2 > t1 >= 0:
         raise ValueError("need t2 > t1 >= 0")
     spec = plan.hamiltonian
-    p = spec.scaling_exponent
+    p = spec.s
     gap = t2 - t1
     window_ok = gap > radius**p * min_time_factor
     r2 = sigma * gap / radius ** (p - 1.0)

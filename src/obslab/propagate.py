@@ -1,9 +1,12 @@
 """Time evolution e^{-itH} under three interchangeable engines.
 
-multiplier   exact phases on the frequency lattice; multiplier kinds only
+multiplier   exact phases in the Fourier calculus; multiplier kinds only
 splitstep    Strang splitting exp(-iV dt/2) exp(-iT dt) exp(-iV dt/2);
              global error O(dt^2), exactly norm preserving
-dense        phase rotation in a dense eigenbasis; dofs <= 4096
+dense        exact phases in the dense eigenbasis calculus; dofs <= 4096
+
+The multiplier and dense engines are the two implementations of
+spectral.calculus; splitstep is not a function of H and marches on its own.
 
 Observation times under splitstep are snapped to the dt lattice; a final
 fractional substep absorbs any remainder when a single target time does not
@@ -20,7 +23,7 @@ import numpy as np
 
 from .grid import Field, GridSpec, radius_squared
 from .hamiltonian import HamiltonianSpec, kinetic_symbol, potential_on_grid
-from .spectral import decompose_hamiltonian
+from .spectral import calculus, decompose_hamiltonian
 
 ENGINES = ("multiplier", "splitstep", "dense")
 
@@ -71,6 +74,13 @@ def _splitstep_march(values: np.ndarray, spec: HamiltonianSpec, duration: float,
     return v
 
 
+def _calculus(plan: PropagatorPlan):
+    """The dense engine diagonalizes even a multiplier H; see engine_cross_check."""
+    if plan.engine == "dense":
+        return decompose_hamiltonian(plan.hamiltonian)
+    return calculus(plan.hamiltonian)
+
+
 def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
     """e^{-itH} f for t >= 0."""
     if t < 0:
@@ -78,14 +88,10 @@ def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
     spec = plan.hamiltonian
     if field.grid != spec.grid:
         raise ValueError("field grid does not match plan grid")
-    if plan.engine == "multiplier":
-        phase = np.exp(-1j * t * kinetic_symbol(spec))
-        return Field(field.grid, np.fft.ifftn(phase * np.fft.fftn(field.values)))
-    if plan.engine == "dense":
-        eig = decompose_hamiltonian(spec)
-        out = eig.apply_function(lambda lam: np.exp(-1j * t * lam), field.values)
-        return Field(field.grid, out)
-    return Field(field.grid, _splitstep_march(field.values, spec, t, plan.dt))
+    if plan.engine == "splitstep":
+        return Field(field.grid, _splitstep_march(field.values, spec, t, plan.dt))
+    calc = _calculus(plan)
+    return Field(field.grid, calc.apply(np.exp(-1j * t * calc.spectrum), field.values))
 
 
 def snap_times(plan: PropagatorPlan, times) -> np.ndarray:
@@ -101,27 +107,20 @@ def evolve_series(plan: PropagatorPlan, field: Field, times) -> tuple[np.ndarray
     times = snap_times(plan, times)
     if np.any(np.diff(times) < 0) or (times.size and times[0] < 0):
         raise ValueError("times must be ascending and nonnegative")
-    spec = plan.hamiltonian
     out: list[Field] = []
-    if plan.engine == "multiplier":
-        fhat = np.fft.fftn(field.values)
-        sym = kinetic_symbol(spec)
+    if plan.engine == "splitstep":
+        v = field.values
+        prev = 0.0
         for t in times:
-            out.append(Field(field.grid, np.fft.ifftn(np.exp(-1j * t * sym) * fhat)))
+            v = _splitstep_march(v, plan.hamiltonian, t - prev, plan.dt)
+            prev = t
+            out.append(Field(field.grid, v.copy()))
         return times, out
-    if plan.engine == "dense":
-        eig = decompose_hamiltonian(spec)
-        coeff = eig.vectors.conj().T @ field.values.ravel()
-        for t in times:
-            v = eig.vectors @ (np.exp(-1j * t * eig.eigenvalues) * coeff)
-            out.append(Field(field.grid, v.reshape(field.grid.shape)))
-        return times, out
-    v = field.values
-    prev = 0.0
+    calc = _calculus(plan)
+    coeff = calc.forward(field.values)
     for t in times:
-        v = _splitstep_march(v, spec, t - prev, plan.dt)
-        prev = t
-        out.append(Field(field.grid, v.copy()))
+        phase = np.exp(-1j * t * calc.spectrum)
+        out.append(Field(field.grid, calc.backward(phase * coeff)))
     return times, out
 
 

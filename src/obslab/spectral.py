@@ -1,7 +1,9 @@
-"""Functional calculus: sharp and smooth spectral projections.
+"""Functional calculus f(H): spectral functions, projections and evolution.
 
-Multiplier Hamiltonians get their calculus directly on the frequency lattice;
-potential kinds go through a dense eigendecomposition (capped at 4096 dofs).
+calculus(spec) is the one place that decides how H is diagonalized:
+multiplier Hamiltonians on the frequency lattice (FFT), potential kinds
+through a dense eigendecomposition (capped at 4096 dofs).  Either way f(H)
+is applied as weights f(spectrum) on the spectral coefficients.
 
 Every smooth cutoff in the package is built from smooth_step, a C-infinity
 step made of the exp(-1/x) mollifier.
@@ -53,10 +55,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi})")
 
-    @classmethod
-    def window(cls, lo: float, hi: float) -> "Interval":
-        return cls(lo, hi)
-
     def contains(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         inside = (lam >= self.lo) & (lam < self.hi)
@@ -65,26 +63,65 @@ class Interval:
         return inside
 
 
+class _Calculus:
+    """f(H) = backward(f(spectrum) * forward(values)); subclasses supply
+    spectrum, forward (values -> coefficients) and backward (-> grid shape)."""
+
+    def apply(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """f(H) values for weights = f(spectrum); returns grid-shaped values."""
+        return self.backward(weights * self.forward(values))
+
+    def projector(self, interval: Interval):
+        """chi_interval(H) as a function of (possibly flattened) values."""
+        mask = interval.contains(self.spectrum).astype(float)
+        return lambda values: self.apply(mask, values)
+
+
 @dataclass(eq=False)
-class EigenDecomposition:
+class FourierCalculus(_Calculus):
+    """Multiplier H: the spectrum is the kinetic symbol on the frequency lattice."""
+
+    spectrum: np.ndarray
+    grid: GridSpec
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.fftn(values.reshape(self.grid.shape))
+
+    def backward(self, coeff: np.ndarray) -> np.ndarray:
+        return np.fft.ifftn(coeff)
+
+
+@dataclass(eq=False)
+class EigenDecomposition(_Calculus):
     """Dense Hermitian eigendecomposition; eigenvalues ascending."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray            # columns are eigenvectors
     grid: GridSpec
 
+    @property
+    def spectrum(self) -> np.ndarray:
+        return self.eigenvalues
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return self.vectors.conj().T @ values.ravel()
+
+    def backward(self, coeff: np.ndarray) -> np.ndarray:
+        return (self.vectors @ coeff).reshape(self.grid.shape)
+
     def residual(self, matrix: np.ndarray) -> float:
         r = matrix @ self.vectors - self.vectors * self.eigenvalues[None, :]
         scale = 1.0 + np.abs(self.eigenvalues).max()
         return float(np.abs(r).max() / scale)
 
-    def apply_function(self, fn, values: np.ndarray) -> np.ndarray:
-        coeff = self.vectors.conj().T @ values.ravel()
-        coeff *= fn(self.eigenvalues)
-        return (self.vectors @ coeff).reshape(values.shape)
-
     def projector_indices(self, interval: Interval) -> np.ndarray:
         return np.nonzero(interval.contains(self.eigenvalues))[0]
+
+    def projector(self, interval: Interval):
+        """Column-subset form V_I V_I^H, which skips the eigenvectors outside I."""
+        vi = self.vectors[:, self.projector_indices(interval)]
+        shape = self.grid.shape
+        return lambda values: (vi @ (vi.conj().T @ values.ravel())).reshape(shape)
 
 
 @lru_cache(maxsize=3)
@@ -95,31 +132,17 @@ def decompose_hamiltonian(spec: HamiltonianSpec) -> EigenDecomposition:
 
 
 def decompose_dilation(a: DilationMatrix) -> EigenDecomposition:
-    if not hasattr(a, "_eig"):
-        w, v = np.linalg.eigh(a.matrix)
-        a._eig = EigenDecomposition(w, v, a.grid)
-    return a._eig
+    w, v = np.linalg.eigh(a.matrix)
+    return EigenDecomposition(w, v, a.grid)
 
 
-def _symbol_multiplier(weights: np.ndarray, field: Field) -> Field:
-    return Field(field.grid, np.fft.ifftn(weights * np.fft.fftn(field.values)))
+def calculus(spec: HamiltonianSpec) -> FourierCalculus | EigenDecomposition:
+    """The functional calculus of H: Fourier for multiplier kinds, else dense."""
+    if spec.is_multiplier:
+        return FourierCalculus(kinetic_symbol(spec), spec.grid)
+    return decompose_hamiltonian(spec)
 
 
 def project_energy(spec: HamiltonianSpec, interval: Interval, field: Field) -> Field:
     """Sharp projection chi_I(H) f."""
-    if spec.is_multiplier:
-        mask = interval.contains(kinetic_symbol(spec)).astype(float)
-        return _symbol_multiplier(mask, field)
-    eig = decompose_hamiltonian(spec)
-    idx = eig.projector_indices(interval)
-    vi = eig.vectors[:, idx]
-    out = vi @ (vi.conj().T @ field.values.ravel())
-    return Field(field.grid, out.reshape(field.grid.shape))
-
-
-def apply_spectral_function(spec: HamiltonianSpec, fn, field: Field) -> Field:
-    """f(H) applied through the multiplier or eigenbasis route."""
-    if spec.is_multiplier:
-        return _symbol_multiplier(np.asarray(fn(kinetic_symbol(spec)), dtype=float), field)
-    eig = decompose_hamiltonian(spec)
-    return Field(field.grid, eig.apply_function(fn, field.values))
+    return Field(field.grid, calculus(spec).projector(interval)(field.values))

@@ -3,6 +3,7 @@
 import filecmp
 import hashlib
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -194,6 +195,25 @@ def test_runner_failure_writes_nothing(tmp_path, capsys):
     assert cli.run("minimal-velocity", path, str(out)) == 1
     assert not out.exists()
     assert "run failed" in capsys.readouterr().err
+
+
+def test_non_finite_values_make_strict_json(tmp_path, monkeypatch):
+    def planted(cfg):
+        results = {"ratio": float("inf"), "floor": np.float64(-np.inf),
+                   "gap": np.float64("nan")}
+        verdicts = [cli._verdict("upper", math.inf, 1.0, "<=", "planted"),
+                    cli._verdict("lower", -math.inf, 0.0, ">=", "planted")]
+        return results, verdicts, [], []
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setitem(cli._RUNNERS, "observability", planted)
+    out = tmp_path / "out"
+    assert cli.run("observability", None, str(out)) == 2
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["results"] == {"ratio": "inf", "floor": "-inf", "gap": "nan"}
+    assert [v["measured"] for v in report["verdicts"]] == ["inf", "-inf"]
 
 
 def test_acceptance_gates_on_runner_verdicts(monkeypatch):

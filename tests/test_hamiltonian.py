@@ -48,9 +48,9 @@ def test_kinetic_symbol_free_and_fractional():
 
 def test_scaling_exponent_follows_kind():
     g = make_grid(1, 8.0, 64)
-    assert HamiltonianSpec.free(g).scaling_exponent == 2.0
-    assert HamiltonianSpec.fractional(g, 1.0).scaling_exponent == 1.0
-    assert HamiltonianSpec.fractional(g, 3.0).scaling_exponent == 3.0
+    assert HamiltonianSpec.free(g).s == 2.0
+    assert HamiltonianSpec.fractional(g, 1.0).s == 1.0
+    assert HamiltonianSpec.fractional(g, 3.0).s == 3.0
     assert HamiltonianSpec.free(g).is_multiplier
     assert not HamiltonianSpec.with_potential(g, zero_potential()).is_multiplier
 

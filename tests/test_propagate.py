@@ -128,7 +128,11 @@ def test_series_matches_single_shot(grid, packet, engine, kind):
     times = [0.5, 1.0, 2.0]
     realized, snaps = evolve_series(plan, packet, times)
     for t, snap in zip(realized, snaps):
-        assert _rel(snap, evolve(plan, packet, float(t))) <= 1e-10
+        single = evolve(plan, packet, float(t))
+        if engine == "splitstep":
+            assert _rel(snap, single) <= 1e-10
+        else:   # one calculus, one operand order: the same bits
+            assert np.array_equal(snap.values, single.values)
 
 
 def test_series_requires_ascending_times(grid, packet):

@@ -5,10 +5,11 @@ import pytest
 
 from obslab.grid import Field, l2_norm, make_grid
 from obslab.hamiltonian import (HamiltonianSpec, dilation_generator,
-                                zero_potential)
-from obslab.spectral import (Interval, apply_spectral_function,
-                             decompose_dilation, decompose_hamiltonian,
-                             project_energy, smooth_step)
+                                gaussian_potential, zero_potential)
+from obslab.spectral import (EigenDecomposition, FourierCalculus, Interval,
+                             calculus, decompose_dilation,
+                             decompose_hamiltonian, project_energy,
+                             smooth_step)
 
 
 def test_smooth_step_profile():
@@ -69,15 +70,17 @@ def test_adjacent_windows_tile_without_double_counting():
 def test_multiplier_and_dense_routes_agree():
     # same operator, one spec diagonal in frequency, one forced dense
     g = make_grid(1, 8.0, 128)
-    free = HamiltonianSpec.free(g)
-    densified = HamiltonianSpec.with_potential(g, zero_potential())
+    fourier = calculus(HamiltonianSpec.free(g))
+    dense = calculus(HamiltonianSpec.with_potential(g, zero_potential()))
+    assert isinstance(fourier, FourierCalculus)
+    assert isinstance(dense, EigenDecomposition)
     rng = np.random.default_rng(9)
-    f = Field(g, rng.standard_normal(128) + 1j * rng.standard_normal(128))
+    f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     for fn in (lambda lam: np.exp(-lam),
                lambda lam: smooth_step((6.0 - lam) / 2.0)):
-        a = apply_spectral_function(free, fn, f)
-        b = apply_spectral_function(densified, fn, f)
-        assert l2_norm(Field(g, a.values - b.values)) <= 1e-8
+        a = fourier.apply(fn(fourier.spectrum), f)
+        b = dense.apply(fn(dense.spectrum), f)
+        assert l2_norm(Field(g, a - b)) <= 1e-8
 
 
 def test_eigendecomposition_residual_and_indices():
@@ -91,17 +94,24 @@ def test_eigendecomposition_residual_and_indices():
     assert ((eig.eigenvalues[idx] >= 0) & (eig.eigenvalues[idx] < 1)).all()
 
 
+def test_eigen_projector_subset_form_matches_mask():
+    # V_I V_I^H skips the columns outside I; it must equal the weighted apply
+    g = make_grid(1, 8.0, 128)
+    eig = calculus(HamiltonianSpec.with_potential(g, gaussian_potential(1.0)))
+    w = Interval(0.5, 4.0)
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    mask = w.contains(eig.spectrum).astype(float)
+    np.testing.assert_allclose(eig.projector(w)(f), eig.apply(mask, f),
+                               atol=1e-12)
+
+
 def test_dilation_projectors_split_the_identity():
     # chi^+/-(A - a) as enss_decay builds them: masks in the A eigenbasis
     g = make_grid(1, 8.0, 256)
     a = dilation_generator(g)
     eig = decompose_dilation(a)
-    assert decompose_dilation(a) is eig
-    wa = eig.vectors
-
-    def project(mask, v):
-        return wa @ (mask * (wa.conj().T @ v))
-
+    project = eig.apply
     plus = (eig.eigenvalues >= 0.7).astype(float)
     minus = 1.0 - plus
     rng = np.random.default_rng(12)
