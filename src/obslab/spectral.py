@@ -104,7 +104,8 @@ class EigenDecomposition(_Calculus):
         return self.eigenvalues
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return self.vectors.conj().T @ values.ravel()
+        # conj(V^T conj(v)) = V^H v without an n x n conjugated copy of V
+        return (self.vectors.T @ values.ravel().conj()).conj()
 
     def backward(self, coeff: np.ndarray) -> np.ndarray:
         return (self.vectors @ coeff).reshape(self.grid.shape)
@@ -121,7 +122,7 @@ class EigenDecomposition(_Calculus):
         """Column-subset form V_I V_I^H, which skips the eigenvectors outside I."""
         vi = self.vectors[:, self.projector_indices(interval)]
         shape = self.grid.shape
-        return lambda values: (vi @ (vi.conj().T @ values.ravel())).reshape(shape)
+        return lambda values: (vi @ (vi.T @ values.ravel().conj()).conj()).reshape(shape)
 
 
 @lru_cache(maxsize=3)

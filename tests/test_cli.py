@@ -71,6 +71,27 @@ def test_schema_rejects_unknown_parameter(tmp_path):
         cli.load_config("uncertainty", path)
 
 
+@pytest.mark.parametrize("experiment, overlay", [
+    ("uncertainty", {"grid": {"points_per_axis": "many"}}),
+    ("control", {"engine": "lanczos"}),
+    ("enss", {"parameters": {"ramp": -0.25}}),
+    ("observability", {"parameters": {"bogus": 1}}),
+])
+def test_cached_validators_raise_what_jsonschema_raises(experiment, overlay):
+    merged = cli._deep_merge(cli.DEFAULTS[experiment], overlay)
+    try:
+        jsonschema.validate(merged, cli.CONFIG_SCHEMA)
+        jsonschema.validate(merged["parameters"], cli._PARAM_SCHEMAS[experiment])
+    except jsonschema.ValidationError as err:
+        expected = err.message
+    else:
+        pytest.fail("overlay should be invalid")
+    for _ in range(2):        # cold and cached validators
+        with pytest.raises(jsonschema.ValidationError) as caught:
+            cli.resolve_config(experiment, overlay)
+        assert caught.value.message == expected
+
+
 def test_experiment_name_must_match(tmp_path):
     path = write_config(tmp_path / "cfg.json", {"experiment": "control"})
     with pytest.raises(ValueError, match="subcommand"):
@@ -151,6 +172,18 @@ def test_run_writes_deterministic_outputs(tmp_path):
     with open(out1 / "scan.csv", encoding="utf-8") as fh:
         assert fh.readline().rstrip("\n") == "radius,threshold,norm"
         assert len(fh.readlines()) == 4
+
+
+def test_enss_runner_gates_on_the_norm_witness():
+    cfg = cli.resolve_config("enss", {
+        "grid": {"dim": 1, "half_extent": 64.0, "points_per_axis": 512},
+        "parameters": {"a_values": [0.0],
+                       "times": {"start": 3.0, "stop": 12.0, "count": 4}}})
+    results, verdicts, _, _ = cli._RUNNERS["enss"](cfg)
+    witness = {v["name"]: v for v in verdicts}["norm_witness"]
+    assert witness["pass"] is True and witness["threshold"] == 1e-8
+    assert witness["measured"] == max(results["witness_defect"])
+    assert len(results["witness_defect"]) == 1
 
 
 def test_failed_verdict_still_reports(tmp_path):

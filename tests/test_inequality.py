@@ -5,16 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from obslab.grid import Field, make_grid
-from obslab.hamiltonian import HamiltonianSpec, gaussian_potential
-from obslab.inequality import (enss_decay, frequency_band_state,
+from obslab.estimate import gram_operator_norm
+from obslab.grid import Field, axis_coordinates, make_grid
+from obslab.hamiltonian import (HamiltonianSpec, dilation_generator,
+                                gaussian_potential)
+from obslab.inequality import (enss_decay, factored_norm, frequency_band_state,
                                group_velocity_floor, minimal_velocity_decay,
                                observability_ratio,
                                sharpness_sequence, uncertainty_norm,
                                uncertainty_norm_dense, uncertainty_scan,
                                window_localized_state)
 from obslab.propagate import PropagatorPlan
-from obslab.spectral import Interval, project_energy, smooth_step
+from obslab.spectral import (Interval, decompose_dilation,
+                             decompose_hamiltonian, project_energy,
+                             smooth_step)
 
 
 def normalized(grid, values):
@@ -94,6 +98,15 @@ def test_scan_monotone_and_grouped(free256):
     # R sqrt(delta) coincidences, e.g. (0.5, 2.0) with (1.0, 0.5)
     assert any(vals.size >= 2 for _, vals in scan.collapse_groups)
     assert 0.0 <= scan.collapse_spread < 1.0
+
+
+def test_scan_methods():
+    pot = HamiltonianSpec(make_grid(1, 64.0, 8192), "potential",
+                          potential=gaussian_potential(1.0))
+    with pytest.raises(ValueError, match="capped at 4096"):
+        uncertainty_scan(pot, [0.5, 1.0], [0.5, 1.0])
+    with pytest.raises(ValueError, match="unknown uncertainty method"):
+        uncertainty_scan(pot, [0.5, 1.0], [0.5, 1.0], method="auto")
 
 
 # --- localized states -------------------------------------------------------
@@ -182,11 +195,61 @@ def test_outgoing_norms_decay():
     assert np.all(np.diff(ser.values) < 0.0)
     # short-time slope; the asymptotic rate needs the long-time geometry
     assert ser.fit.slope < -0.2
-    assert all(ser.convergence_flags)
+    assert ser.cross_check <= 1e-10
     assert res.bound_constants[0] > 0.0
     assert res.constant_ratio == pytest.approx(1.0)
     assert res.max_series is not None
     np.testing.assert_allclose(res.max_series.values, ser.values)
+
+
+def test_exact_outgoing_norms_match_power_iteration():
+    # the rank-k factorization against power iteration on the unfactored
+    # chain W chi^-(A) e^{-itH} g(H) chi^+(A) W, one (a, t) at a time
+    g = make_grid(1, 32.0, 256)
+    spec = HamiltonianSpec(g, "free")
+    a_values, v, times = [-5.0, 0.0, 5.0], 0.5, [2.0, 4.0, 6.0, 8.0]
+    res = enss_decay(spec, a_values, v, times)
+    eig_a = decompose_dilation(dilation_generator(g))
+    heig = decompose_hamiltonian(spec)
+    lam, alpha = heig.eigenvalues, eig_a.eigenvalues
+    box = smooth_step((lam - 1.0) / 0.25) * smooth_step((2.0 - lam) / 0.25)
+    r0 = 0.3 * g.half_extent
+    w = smooth_step((4.0 * r0 / 3.0 - np.abs(axis_coordinates(g))) / (r0 / 3.0))
+
+    def chain(x, first, middle, last):
+        z = heig.apply(middle, eig_a.apply(first, w * x))
+        return w * eig_a.apply(last, z)
+
+    for a, ser in zip(a_values, res.series):
+        plus = (alpha >= a).astype(float)
+        for t, norm in zip(times, ser.values):
+            minus = (alpha < a + v * t).astype(float)
+            phase = np.exp(-1j * t * lam)
+            gram = lambda x: chain(chain(x, plus, phase * box, minus),
+                                   minus, np.conj(phase) * box, plus)
+            ref = gram_operator_norm(gram, g.dofs, tol=1e-10, max_iter=5000)
+            assert ref.converged
+            assert norm == pytest.approx(ref.value, rel=1e-8)
+        assert ser.cross_check <= 1e-10
+
+
+def test_factored_norm_of_empty_side_is_zero():
+    rng = np.random.default_rng(3)
+    rows, k = 12, 5
+    full = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+    phi = np.exp(1j * rng.uniform(0, 2 * np.pi, k)) * rng.uniform(0.1, 1.0, k)
+    q_plus, r_plus = np.linalg.qr(full)
+    sigma, x = factored_norm(full, phi, q_plus, r_plus)
+    dense = (full * phi) @ full.conj().T
+    assert sigma == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+    assert np.linalg.norm(dense @ x) == pytest.approx(sigma, rel=1e-12)
+    # an empty chi^- side: F[:, minus] C[minus] with no columns is zero
+    empty = np.zeros((rows, 0)) @ np.zeros((0, k))
+    assert factored_norm(empty, phi, q_plus, r_plus)[0] == 0.0
+    # an empty chi^+ side
+    q_zero, r_zero = np.linalg.qr(empty.astype(complex))
+    sigma, x = factored_norm(full, phi, q_zero, r_zero)
+    assert sigma == 0.0 and np.isfinite(x).all()
 
 
 def test_outgoing_guards():
