@@ -127,8 +127,12 @@ _RUNNER_CRITERIA = tuple(Criterion(*c) for c in (
         ("sharpness", {"grid": _grid(8.0, 2048), "hamiltonian": _S1}))),
     (8, "impulse control reaches the target with consistent adjoint and verification",
      (("control", {}),)),
-    (9, "band-cutoff commutator norms decay with the band scale under a single fitted constant",
-     (("commutator", {}),)),
+    (9, "band-cutoff commutator norms decay with the band scale under a single fitted constant", (
+        ("commutator", {}),
+        # three decades of N; max(ns) = 1024 <= half the spectral radius
+        ("commutator", {"grid": _grid(12.0, 16384), "parameters": {
+            "points": 16384, "profile_scale": 2.0,
+            "ns": [8, 16, 32, 64, 128, 256, 512, 1024]}}))),
 ))
 
 

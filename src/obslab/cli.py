@@ -915,6 +915,7 @@ def _run_commutator(cfg):
     fit = scaling_fit(exp)
     bump = derivative_bump_scaling(tuple(p["ns"]),
                                    p.get("quadrature_samples", 65536))
+    residuals = [r.residual for r in (*fit.runs, fit.m_ab_run)]
     verdicts = [
         _verdict("decay_slope", fit.slope, -0.70, "<=",
                  "band-cutoff commutators against the saturating multiplier "
@@ -937,6 +938,10 @@ def _run_commutator(cfg):
                  "the interpolation proxy for the integrable-transform norm "
                  "stays under its -3/4 envelope",
                  passed=bump.proxy_under_envelope),
+        _verdict("lanczos_residual", max(residuals), 1e-10, "<=",
+                 "every commutator norm, and the commutator with A itself, "
+                 "is an extreme Ritz value certified by its Lanczos "
+                 "residual"),
     ]
     results = {
         "ns": list(fit.ns),
@@ -946,6 +951,10 @@ def _run_commutator(cfg):
         "c_hat": fit.c_hat,
         "m_ab": fit.m_ab,
         "b_norm": fit.b_norm,
+        "lanczos_iterations": {"norms": [r.iterations for r in fit.runs],
+                               "m_ab": fit.m_ab_run.iterations},
+        "lanczos_residual": {"norms": [r.residual for r in fit.runs],
+                             "m_ab": fit.m_ab_run.residual},
         "bump_l2": list(bump.l2),
         "bump_l2_grad": list(bump.l2_grad),
         "bump_proxy": list(bump.proxy),

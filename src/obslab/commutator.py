@@ -3,9 +3,12 @@
 For self-adjoint A and bounded B with bounded [A, B], smooth band cutoffs
 phi_N = phi(./N) satisfy ||[phi_N(A), B]|| <= C M_AB N^{-3/4} with
 M_AB = ||[A, B]||.  The lab measures the left side on a momentum/saturating
-multiplier pair by dense SVD and fits the log-log slope; the envelope
-exponent -3/4 is an upper bound, the measured decay for smooth data sits
-near N^{-1}.
+multiplier pair and fits the log-log slope; the envelope exponent -3/4 is an
+upper bound, the measured decay for smooth data sits near N^{-1}.
+
+A = p + shift is a circulant (symbol xi + shift) and B a diagonal, so
+i[f(A), B] is a Hermitian operator applied with two FFT pairs; each norm is
+its extreme Ritz value under Lanczos, certified by the Ritz residual.
 
 The Fourier-L1 ingredient behind the envelope is checked by quadrature:
 psi_N = i phi_N' obeys ||psi_N||_2 ~ N^{-1/2} and ||psi_N'||_2 ~ N^{-3/2}
@@ -17,13 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .estimate import PowerResult, hermitian_operator_norm
 from .spectral import smooth_step
-
-DENSE_LIMIT = 2048
 
 
 def band_profile(u: np.ndarray) -> np.ndarray:
@@ -32,51 +33,41 @@ def band_profile(u: np.ndarray) -> np.ndarray:
     return smooth_step((u - 0.5) / 0.25) * smooth_step((2.0 - u) / 0.75)
 
 
-def bump_profile(n_scale: float):
-    """The dilated cutoff phi_N = phi(./N) as a vectorized callable."""
-    if n_scale <= 0:
-        raise ValueError("scale must be positive")
-    return lambda lam: band_profile(np.asarray(lam, dtype=float) / n_scale)
-
-
 @dataclass
 class CommutatorExperiment:
-    a: np.ndarray
+    """A = F^{-1} diag(symbol) F on the DFT lattice, B = diag(b)."""
+
+    symbol: np.ndarray
     b: np.ndarray
     ns: tuple
 
     def __post_init__(self):
-        self.a = np.asarray(self.a)
-        self.b = np.asarray(self.b)
-        if self.a.shape != self.b.shape or self.a.ndim != 2 \
-                or self.a.shape[0] != self.a.shape[1]:
-            raise ValueError("A and B must be square matrices of equal size")
-        if self.a.shape[0] > DENSE_LIMIT:
-            raise ValueError(f"dense route capped at {DENSE_LIMIT}")
-        scale = max(float(np.abs(self.a).max()), 1.0)
-        if float(np.abs(self.a - self.a.conj().T).max()) > 1e-10 * scale:
-            raise ValueError("A must be Hermitian")
+        self.symbol = np.asarray(self.symbol, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        if self.symbol.ndim != 1 or self.symbol.shape != self.b.shape:
+            raise ValueError("the symbol of A and the diagonal of B must be "
+                             "vectors of equal length")
         self.ns = tuple(sorted(int(n) for n in self.ns))
         if any(n <= 0 for n in self.ns):
             raise ValueError("band scales must be positive")
 
-    @cached_property
-    def eigensystem(self):
-        return np.linalg.eigh(self.a)
-
-    @cached_property
+    @property
     def spectral_radius(self) -> float:
-        lam, _ = self.eigensystem
-        return float(np.abs(lam).max())
+        return float(np.abs(self.symbol).max())
 
-    @cached_property
-    def m_ab(self) -> float:
-        c = self.a @ self.b - self.b @ self.a
-        return float(np.linalg.svd(c, compute_uv=False)[0])
+    @property
+    def b_norm(self) -> float:
+        return float(np.abs(self.b).max())
 
-    def cutoff_matrix(self, n_scale: float) -> np.ndarray:
-        lam, w = self.eigensystem
-        return (w * band_profile(lam / n_scale)) @ w.conj().T
+    def commutator(self, weights: np.ndarray) -> PowerResult:
+        """||[f(A), B]|| for weights = f(symbol), by Lanczos on i[f(A), B]."""
+        b = self.b
+
+        def apply(v):
+            return 1j * (np.fft.ifft(weights * np.fft.fft(b * v))
+                         - b * np.fft.ifft(weights * np.fft.fft(v)))
+
+        return hermitian_operator_norm(apply, b.size)
 
 
 def momentum_pair(half_extent: float = 12.0, points: int = 2048,
@@ -93,24 +84,19 @@ def momentum_pair(half_extent: float = 12.0, points: int = 2048,
     h = 2.0 * half_extent / points
     x = -half_extent + h * np.arange(points)
     xi = 2.0 * np.pi * np.fft.fftfreq(points, h)
-    f = np.fft.fft(np.eye(points), axis=0) / math.sqrt(points)
-    p = f.conj().T @ (xi[:, None] * f)
-    p = 0.5 * (p + p.conj().T)
-    a = p + shift * np.eye(points)
     shoulder = smooth_step((0.95 * half_extent - np.abs(x))
                            / (0.40 * half_extent))
-    b = np.diag(np.tanh(x / profile_scale) * shoulder)
-    exp = CommutatorExperiment(a, b, ns)
+    exp = CommutatorExperiment(xi + shift, np.tanh(x / profile_scale) * shoulder,
+                               ns)
     if max(exp.ns) > 0.5 * exp.spectral_radius:
         raise ValueError("largest band exceeds half the spectral radius")
     return exp
 
 
-def commutator_norm(experiment: CommutatorExperiment, n_scale: float) -> float:
-    """||[phi_N(A), B]|| by dense SVD."""
-    ph = experiment.cutoff_matrix(n_scale)
-    c = ph @ experiment.b - experiment.b @ ph
-    return float(np.linalg.svd(c, compute_uv=False)[0])
+def commutator_norm(experiment: CommutatorExperiment,
+                    n_scale: float) -> PowerResult:
+    """||[phi_N(A), B]|| by Lanczos."""
+    return experiment.commutator(band_profile(experiment.symbol / n_scale))
 
 
 @dataclass
@@ -125,18 +111,22 @@ class CommutatorFit:
     crude_ok: bool           # every norm <= 2 ||B||
     bounds_ok: bool
     vacuous: bool
+    runs: tuple              # Lanczos PowerResult per N
+    m_ab_run: PowerResult    # Lanczos run behind m_ab
 
 
 def scaling_fit(experiment: CommutatorExperiment) -> CommutatorFit:
     ns = experiment.ns
-    norms = tuple(commutator_norm(experiment, n) for n in ns)
-    m = experiment.m_ab
-    b_norm = float(np.linalg.svd(experiment.b, compute_uv=False)[0])
+    runs = tuple(commutator_norm(experiment, n) for n in ns)
+    norms = tuple(r.value for r in runs)
+    m_ab_run = experiment.commutator(experiment.symbol)
+    m = m_ab_run.value
+    b_norm = experiment.b_norm
     crude_ok = all(v <= 2.0 * b_norm * (1.0 + 1e-12) for v in norms)
     if all(v == 0.0 for v in norms):
         bounds = tuple(0.0 for _ in ns)
         return CommutatorFit(ns, norms, bounds, None, 0.0, m, b_norm,
-                             crude_ok, True, True)
+                             crude_ok, True, True, runs, m_ab_run)
     if len([v for v in norms if v > 0]) < 5:
         raise ValueError("need at least 5 nonzero norms for the fit")
     c_hat = max(v / (m * n ** -0.75) for v, n in zip(norms, ns))
@@ -144,7 +134,7 @@ def scaling_fit(experiment: CommutatorExperiment) -> CommutatorFit:
     slope = float(np.polyfit(np.log(ns), np.log(norms), 1)[0])
     bounds_ok = all(v <= bd * (1.0 + 1e-12) for v, bd in zip(norms, bounds))
     return CommutatorFit(ns, norms, bounds, slope, c_hat, m, b_norm,
-                         crude_ok, bounds_ok, False)
+                         crude_ok, bounds_ok, False, runs, m_ab_run)
 
 
 @dataclass

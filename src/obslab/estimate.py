@@ -9,13 +9,15 @@ import numpy as np
 POWER_SEED = 0x5EED
 POWER_TOL = 1e-6
 POWER_MAX_ITER = 500
+LANCZOS_TOL = 1e-13
+LANCZOS_MAX_ITER = 300
 
 
 @dataclass
 class PowerResult:
-    value: float          # estimated operator norm (singular value)
+    value: float          # estimated operator norm
     iterations: int
-    residual: float       # relative eigen-residual of the Gram operator
+    residual: float       # relative eigen-residual of the iterated operator
     converged: bool
 
 
@@ -47,6 +49,51 @@ def gram_operator_norm(apply_gram, n: int, tol: float = POWER_TOL,
         if residual <= tol:
             return PowerResult(float(np.sqrt(max(lam, 0.0))), it, residual, True)
     return PowerResult(float(np.sqrt(max(lam, 0.0))), max_iter, residual, False)
+
+
+def hermitian_operator_norm(apply, n: int, tol: float = LANCZOS_TOL,
+                            max_iter: int = LANCZOS_MAX_ITER) -> PowerResult:
+    """Lanczos with full reorthogonalization on a Hermitian operator; returns
+    its norm, the largest |theta| over the Ritz values theta.
+
+    The start vector is the fixed-seed probe, so the result does not depend
+    on any run seed.  For a Ritz pair (theta, y = Q s) the residual
+    ||H y - theta y|| is beta_j |s_j| (Parlett), so theta lies that close to
+    an eigenvalue of H; the iteration stops once beta_j |s_j| / |theta| <=
+    tol.  A zero beta means the Krylov space is invariant: its Ritz values
+    are eigenvalues and the current one is returned as is.
+    """
+    steps = min(max_iter, n)
+    basis = np.empty((steps, n), dtype=complex)
+    basis[0] = probe_vector(n)
+    alphas, betas = np.zeros(steps), np.zeros(steps)
+    theta, residual = 0.0, np.inf
+    for j in range(steps):
+        w = apply(basis[j])
+        alphas[j] = np.vdot(basis[j], w).real
+        w = w - alphas[j] * basis[j]
+        if j:
+            w -= betas[j - 1] * basis[j - 1]
+        # full reorthogonalization, one classical Gram-Schmidt pass;
+        # conj(Q conj(w)) = Q^H w without a conjugated copy of Q
+        q = basis[:j + 1]
+        w -= (q @ w.conj()).conj() @ q
+        beta = float(np.linalg.norm(w))
+        ritz, vectors = np.linalg.eigh(np.diag(alphas[:j + 1])
+                                       + np.diag(betas[:j], 1)
+                                       + np.diag(betas[:j], -1))
+        top = int(np.argmax(np.abs(ritz)))
+        theta = abs(float(ritz[top]))
+        bound = beta * abs(float(vectors[j, top]))
+        if bound == 0.0:
+            return PowerResult(theta, j + 1, 0.0, True)
+        residual = bound / theta if theta > 0 else np.inf
+        if residual <= tol:
+            return PowerResult(theta, j + 1, residual, True)
+        if j + 1 < steps:
+            betas[j] = beta
+            basis[j + 1] = w / beta
+    return PowerResult(theta, steps, residual, False)
 
 
 @dataclass

@@ -319,7 +319,6 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
     vector mapped back to the grid, x = Q_+ z, is sent through the operator
     itself; each series' cross_check is its largest | ||Kx|| - sigma | / sigma.
     """
-    from .hamiltonian import dilation_generator
     from .grid import axis_coordinates
     g = spec.grid
     if g.dim != 1 or g.dofs > 4096:
@@ -331,8 +330,7 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
     v_cap = theta if spec.kinetic_prefactor == 1.0 else math.sqrt(theta)
     if not 0 < v < v_cap:
         raise ValueError(f"v must lie in (0, {v_cap:.3f}) for this window")
-    A = dilation_generator(g)
-    eig_a = decompose_dilation(A)
+    eig_a = decompose_dilation(g)
     heig = decompose_hamiltonian(spec)   # dense even for multiplier kinds
     lam = heig.eigenvalues
     box = smooth_step((lam - lo) / ramp) * smooth_step((hi - lam) / ramp)
@@ -350,6 +348,14 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
         z = eig_a.apply(first, w_spatial * x)
         z = heig.apply(middle, z)
         return w_spatial * eig_a.apply(last, z)
+
+    def fit_or_nan(norms):
+        """A threshold above every A eigenvalue empties chi^+ and leaves too
+        few nonzero norms to fit: the fit reads NaN and its verdict fails."""
+        try:
+            return loglog_fit(times, norms, head_fraction=0.2)
+        except ValueError:
+            return LogLogFit(math.nan, math.nan, math.nan, times[:0], norms[:0])
 
     rows = np.nonzero(w_spatial > 0)[0]
     frame = eig_a.vectors[rows]
@@ -375,16 +381,15 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
             reached = float(np.linalg.norm(chain(x, mask_plus, ahead, mask_minus)))
             norms[i] = sigma
             defects[i] = abs(reached - sigma) / sigma if sigma > 0 else reached
-        fit = loglog_fit(times, norms, head_fraction=0.2)
+        fit = fit_or_nan(norms)
         const = float(np.max(norms * times**0.9))
         results.append(DecaySeries(times, norms, fit, v, f"outgoing_norm(a={a})",
                                    cross_check=float(defects.max())))
         constants.append(const)
     ratio = max(constants) / min(constants) if min(constants) > 0 else math.inf
     stacked = np.max(np.stack([s.values for s in results]), axis=0)
-    max_series = DecaySeries(times, stacked,
-                             loglog_fit(times, stacked, head_fraction=0.2),
-                             v, "outgoing_norm(max over a)")
+    max_series = DecaySeries(times, stacked, fit_or_nan(stacked), v,
+                             "outgoing_norm(max over a)")
     return EnssResult(list(a_values), results, constants, ratio, theta,
                       max_series)
 

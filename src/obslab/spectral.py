@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, GridSpec
-from .hamiltonian import (DilationMatrix, HamiltonianSpec, dense_matrix,
+from .hamiltonian import (HamiltonianSpec, dense_matrix, dilation_generator,
                           kinetic_symbol)
 
 
@@ -132,9 +132,13 @@ def decompose_hamiltonian(spec: HamiltonianSpec) -> EigenDecomposition:
     return EigenDecomposition(w, v, spec.grid)
 
 
-def decompose_dilation(a: DilationMatrix) -> EigenDecomposition:
-    w, v = np.linalg.eigh(a.matrix)
-    return EigenDecomposition(w, v, a.grid)
+@lru_cache(maxsize=1)
+def decompose_dilation(grid: GridSpec) -> EigenDecomposition:
+    """Eigenbasis of the dilation generator on a grid; cached and read-only."""
+    w, v = np.linalg.eigh(dilation_generator(grid).matrix)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return EigenDecomposition(w, v, grid)
 
 
 def calculus(spec: HamiltonianSpec) -> FourierCalculus | EigenDecomposition:

@@ -186,6 +186,24 @@ def test_enss_runner_gates_on_the_norm_witness():
     assert len(results["witness_defect"]) == 1
 
 
+def test_enss_threshold_above_the_dilation_spectrum_fails(tmp_path):
+    # a = 1e6 empties chi^+: an all-zero series, whose fit reads NaN
+    path = write_config(tmp_path / "cfg.json", {
+        "grid": {"dim": 1, "half_extent": 64.0, "points_per_axis": 256},
+        "parameters": {"a_values": [0.0, 1e6],
+                       "times": {"start": 2.0, "stop": 8.0, "count": 4}}})
+    out = tmp_path / "out"
+    assert cli.run("enss", path, str(out)) == 2
+    report = json.loads((out / "report.json").read_text())
+    by_name = {v["name"]: v for v in report["verdicts"]}
+    assert by_name["decay_slope_a_1e+06"]["pass"] is False
+    assert by_name["decay_slope_a_1e+06"]["measured"] == "nan"
+    assert by_name["norm_witness"]["pass"] is True
+    assert report["results"]["slopes"][1] == "nan"
+    assert report["results"]["r_squared"][1] == "nan"
+    assert report["results"]["bound_constants"][1] == 0.0
+
+
 def test_failed_verdict_still_reports(tmp_path):
     cfg = json.loads(json.dumps(SMALL_UNCERTAINTY))
     # force a genuine invariant coincidence, then demand the impossible

@@ -1,19 +1,35 @@
 """Band-cutoff commutator decay and its Fourier-side scaling ingredients."""
 
+import functools
+import json
+import math
+
 import numpy as np
 import pytest
 
-from obslab.commutator import (DENSE_LIMIT, CommutatorExperiment, band_profile,
-                               bump_profile, commutator_norm,
-                               derivative_bump_scaling, momentum_pair,
-                               scaling_fit)
+from obslab import cli, commutator, estimate
+from obslab.commutator import (CommutatorExperiment, band_profile,
+                               commutator_norm, derivative_bump_scaling,
+                               momentum_pair, scaling_fit)
+
+# the benchmark's pair: 1024 points, ladder 6..64, profile scale 3
+SMALL_PAIR = {"grid": {"dim": 1, "half_extent": 12.0, "points_per_axis": 1024},
+              "parameters": {"points": 1024, "ns": [6, 12, 24, 48, 64],
+                             "profile_scale": 3.0, "quadrature_samples": 4096}}
 
 
-def random_hermitian_pair(n=32, seed=11):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (a + a.conj().T), b
+def dense_commutator_norm(symbol, b, weights):
+    """Oracle: ||[f(A), B]|| by SVD of the assembled n x n matrices."""
+    n = symbol.size
+    f = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
+    fa = f.conj().T @ (weights[:, None] * f)
+    bm = np.diag(b)
+    return float(np.linalg.svd(fa @ bm - bm @ fa, compute_uv=False)[0])
+
+
+def small_experiment(b, ns=(1, 2, 4)):
+    xi = 2.0 * np.pi * np.fft.fftfreq(32, 0.25)
+    return CommutatorExperiment(xi + 1.0, b, ns)
 
 
 def test_band_profile_shape():
@@ -28,74 +44,55 @@ def test_band_profile_shape():
     assert np.sum(np.abs(np.diff(f))) == pytest.approx(2.0, abs=1e-6)
 
 
-def test_bump_profile_dilates():
-    u = np.linspace(0.0, 10.0, 101)
-    np.testing.assert_allclose(bump_profile(4.0)(u), band_profile(u / 4.0))
-    with pytest.raises(ValueError):
-        bump_profile(0.0)
-
-
 def test_experiment_validation():
-    a, b = random_hermitian_pair()
-    with pytest.raises(ValueError, match="square"):
-        CommutatorExperiment(a[:, :16], b[:, :16], (1, 2))
-    with pytest.raises(ValueError, match="square"):
-        CommutatorExperiment(a, b[:16, :16], (1, 2))
-    with pytest.raises(ValueError, match="Hermitian"):
-        CommutatorExperiment(b, a, (1, 2))
+    xi = np.arange(16.0)
+    with pytest.raises(ValueError, match="equal length"):
+        CommutatorExperiment(xi, xi[:8], (1, 2))
+    with pytest.raises(ValueError, match="equal length"):
+        CommutatorExperiment(np.eye(4), np.eye(4), (1, 2))
     with pytest.raises(ValueError, match="positive"):
-        CommutatorExperiment(a, b, (0, 1))
-    big = DENSE_LIMIT + 1
-    with pytest.raises(ValueError, match="capped"):
-        CommutatorExperiment(np.eye(big), np.eye(big), (1, 2))
-    exp = CommutatorExperiment(a, b, (8.0, 2, 4))
+        CommutatorExperiment(xi, xi, (0, 1))
+    exp = CommutatorExperiment(xi - 20.0, -np.linspace(0.0, 3.0, 16), (8.0, 2, 4))
     assert exp.ns == (2, 4, 8)
+    assert exp.spectral_radius == 20.0
+    assert exp.b_norm == 3.0
 
 
 def test_commutator_norm_against_svd():
-    a, b = random_hermitian_pair()
-    exp = CommutatorExperiment(a, b, (1, 2))
-    c = a @ b - b @ a
-    assert exp.m_ab == pytest.approx(np.linalg.svd(c, compute_uv=False)[0])
-    assert exp.spectral_radius == pytest.approx(
-        np.abs(np.linalg.eigvalsh(a)).max())
-
-
-def test_cutoff_matrix_spectrum():
-    lam = np.linspace(-2.0, 50.0, 48)
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.standard_normal((48, 48))
-                        + 1j * rng.standard_normal((48, 48)))
-    a = 0.5 * ((q * lam) @ q.conj().T + ((q * lam) @ q.conj().T).conj().T)
-    exp = CommutatorExperiment(a, np.eye(48), (8,))
-    ph = exp.cutoff_matrix(8.0)
-    assert np.abs(ph - ph.conj().T).max() < 1e-12
-    ev = np.linalg.eigvalsh(ph)
-    assert ev.min() > -1e-12 and ev.max() < 1.0 + 1e-12
-    # an eigenvector on the plateau passes through, one below the band dies
-    for target, want in ((8.0, 1.0), (2.0, 0.0)):
-        k = int(np.argmin(np.abs(lam - target)))
-        v = q[:, k]
-        out = ph @ v
-        assert np.linalg.norm(out - want * v) < 1e-10
+    exp = momentum_pair(half_extent=6.0, points=512, ns=(4, 8, 16, 32, 64))
+    for n in exp.ns:
+        run = commutator_norm(exp, n)
+        ref = dense_commutator_norm(exp.symbol, exp.b,
+                                    band_profile(exp.symbol / n))
+        assert run.converged and run.residual <= 1e-13
+        assert run.value == pytest.approx(ref, rel=1e-12)
+    m_ab = exp.commutator(exp.symbol)
+    ref = dense_commutator_norm(exp.symbol, exp.b, exp.symbol)
+    assert m_ab.converged
+    assert m_ab.value == pytest.approx(ref, rel=1e-12)
 
 
 def test_commuting_multiplier_gives_zero():
-    lam = np.linspace(-2.0, 2.0, 64)
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.standard_normal((64, 64))
-                        + 1j * rng.standard_normal((64, 64)))
-    herm = (q * lam) @ q.conj().T
-    a = 0.5 * (herm + herm.conj().T)
-    b = (q * (lam**2 / 4.0)) @ q.conj().T
-    exp = CommutatorExperiment(a, b, (1, 2))
-    assert commutator_norm(exp, 1.0) < 1e-12
-    assert commutator_norm(exp, 2.0) < 1e-12
+    # a constant B commutes with every f(A); 1/2 scales the FFT exactly
+    exp = small_experiment(np.full(32, 0.5))
+    for n in exp.ns:
+        assert commutator_norm(exp, n).value == 0.0
+    assert exp.commutator(exp.symbol).value == 0.0
+    # any other constant leaves only rounding
+    exp = small_experiment(np.full(32, 0.3))
+    assert commutator_norm(exp, 2.0).value < 1e-15
+
+
+def test_empty_band_breaks_down_without_division():
+    # phi_N vanishes on the whole symbol: the first Lanczos step has beta 0
+    exp = small_experiment(np.linspace(-1.0, 1.0, 32), ns=(1,))
+    run = commutator_norm(exp, 1e3)
+    assert run.value == 0.0 and run.residual == 0.0
+    assert run.converged and run.iterations == 1
 
 
 def test_identity_multiplier_is_vacuous():
-    a, _ = random_hermitian_pair()
-    fit = scaling_fit(CommutatorExperiment(a, np.eye(32), (1, 2, 4)))
+    fit = scaling_fit(small_experiment(np.ones(32)))
     assert fit.vacuous
     assert fit.slope is None
     assert fit.norms == (0.0, 0.0, 0.0)
@@ -103,9 +100,9 @@ def test_identity_multiplier_is_vacuous():
 
 
 def test_fit_needs_five_scales():
-    a, b = random_hermitian_pair()
+    exp = small_experiment(np.linspace(-1.0, 1.0, 32), ns=(1, 2))
     with pytest.raises(ValueError, match="at least 5"):
-        scaling_fit(CommutatorExperiment(a, b, (1, 2)))
+        scaling_fit(exp)
 
 
 def test_momentum_pair_decay():
@@ -135,3 +132,52 @@ def test_derivative_bump_scaling():
     assert d.proxy_under_envelope
     assert np.all(np.diff(d.l2) < 0.0)
     assert np.all(np.diff(d.proxy) < 0.0)
+
+
+def run_small_pair(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMALL_PAIR), encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.run("commutator", str(path), str(out))
+    report = json.loads((out / "report.json").read_text())
+    return code, report, {v["name"]: v for v in report["verdicts"]}
+
+
+def test_runner_certifies_every_norm(tmp_path):
+    code, report, verdicts = run_small_pair(tmp_path)
+    assert code == 0
+    res = report["results"]
+    assert len(res["lanczos_iterations"]["norms"]) == 5
+    assert res["lanczos_iterations"]["m_ab"] > 0
+    worst = max(res["lanczos_residual"]["norms"] + [res["lanczos_residual"]["m_ab"]])
+    assert verdicts["lanczos_residual"]["measured"] == worst <= 1e-13
+    assert verdicts["lanczos_residual"]["threshold"] == 1e-10
+
+
+def test_capped_lanczos_fails_the_residual_verdict(tmp_path, monkeypatch):
+    monkeypatch.setattr(commutator, "hermitian_operator_norm",
+                        functools.partial(estimate.hermitian_operator_norm,
+                                          max_iter=2))
+    code, report, verdicts = run_small_pair(tmp_path)
+    assert code == 2
+    assert verdicts["lanczos_residual"]["pass"] is False
+    assert report["results"]["lanczos_iterations"]["norms"] == [2] * 5
+
+
+def test_runner_assembles_no_dense_operator(tmp_path, monkeypatch):
+    # only the Lanczos tridiagonal eigenproblem may reach eigh
+    points = SMALL_PAIR["parameters"]["points"]
+
+    def guarded(kernel):
+        def call(a, *args, **kwargs):
+            if max(np.shape(a)) >= points:
+                raise AssertionError(f"{kernel.__name__} on {np.shape(a)}")
+            return kernel(a, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, guarded(getattr(np.linalg, name)))
+    with pytest.raises(AssertionError):
+        np.linalg.svd(np.eye(points))
+    code, _, _ = run_small_pair(tmp_path)
+    assert code == 0

@@ -1,10 +1,12 @@
-"""Power iteration and log-log fitting against direct linear algebra."""
+"""Power iteration, Lanczos and log-log fitting against direct linear
+algebra."""
 
 import numpy as np
 import pytest
 
 from obslab.estimate import (LogLogFit, PowerResult, gram_operator_norm,
-                             loglog_fit, probe_vector)
+                             hermitian_operator_norm, loglog_fit,
+                             probe_vector)
 
 
 def test_probe_vector_is_deterministic_and_unit():
@@ -37,6 +39,34 @@ def test_power_iteration_reports_nonconvergence():
     assert not res.converged
     assert res.iterations == 10
     assert res.value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_lanczos_matches_eigvalsh():
+    rng = np.random.default_rng(8)
+    k = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    h = 0.5 * (k + k.conj().T)
+    top = np.abs(np.linalg.eigvalsh(h)).max()
+    res = hermitian_operator_norm(lambda v: h @ v, 64)
+    assert res.converged and res.residual <= 1e-13
+    assert res.iterations <= 64
+    assert res.value == pytest.approx(top, rel=1e-12)
+    # a negative extreme eigenvalue counts by its modulus
+    res = hermitian_operator_norm(lambda v: -(h @ h) @ v, 64)
+    assert res.value == pytest.approx(top**2, rel=1e-12)
+
+
+def test_lanczos_zero_operator_breaks_down_cleanly():
+    res = hermitian_operator_norm(lambda v: np.zeros_like(v), 16)
+    assert res == PowerResult(0.0, 1, 0.0, True)
+
+
+def test_lanczos_reports_its_cap():
+    d = np.linspace(-1.0, 2.0, 200)
+    res = hermitian_operator_norm(lambda v: d * v, 200, max_iter=3)
+    assert not res.converged
+    assert res.iterations == 3
+    assert res.residual > 1e-13
+    assert 0.0 < res.value <= 2.0
 
 
 def test_loglog_fit_recovers_exact_power_law():

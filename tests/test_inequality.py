@@ -7,8 +7,7 @@ import pytest
 
 from obslab.estimate import gram_operator_norm
 from obslab.grid import Field, axis_coordinates, make_grid
-from obslab.hamiltonian import (HamiltonianSpec, dilation_generator,
-                                gaussian_potential)
+from obslab.hamiltonian import HamiltonianSpec, gaussian_potential
 from obslab.inequality import (enss_decay, factored_norm, frequency_band_state,
                                group_velocity_floor, minimal_velocity_decay,
                                observability_ratio,
@@ -209,7 +208,9 @@ def test_exact_outgoing_norms_match_power_iteration():
     spec = HamiltonianSpec(g, "free")
     a_values, v, times = [-5.0, 0.0, 5.0], 0.5, [2.0, 4.0, 6.0, 8.0]
     res = enss_decay(spec, a_values, v, times)
-    eig_a = decompose_dilation(dilation_generator(g))
+    eig_a = decompose_dilation(g)
+    assert decompose_dilation(g) is eig_a          # cached per grid
+    assert not eig_a.vectors.flags.writeable
     heig = decompose_hamiltonian(spec)
     lam, alpha = heig.eigenvalues, eig_a.eigenvalues
     box = smooth_step((lam - 1.0) / 0.25) * smooth_step((2.0 - lam) / 0.25)

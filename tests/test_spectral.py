@@ -109,8 +109,13 @@ def test_eigen_projector_subset_form_matches_mask():
 def test_dilation_projectors_split_the_identity():
     # chi^+/-(A - a) as enss_decay builds them: masks in the A eigenbasis
     g = make_grid(1, 8.0, 256)
-    a = dilation_generator(g)
-    eig = decompose_dilation(a)
+    eig = decompose_dilation(g)
+    hits = decompose_dilation.cache_info().hits
+    assert decompose_dilation(g) is eig
+    assert decompose_dilation.cache_info().hits == hits + 1
+    assert not eig.eigenvalues.flags.writeable
+    assert not eig.vectors.flags.writeable
+    assert eig.residual(dilation_generator(g).matrix) <= 1e-12
     project = eig.apply
     plus = (eig.eigenvalues >= 0.7).astype(float)
     minus = 1.0 - plus
