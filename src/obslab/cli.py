@@ -545,6 +545,16 @@ def _packet_field(grid, packet):
     return Field(grid, f.values / l2_norm(f))
 
 
+def _cross_check_verdicts(checks):
+    """The engine_cross_check verdict, when the dense check ran at all."""
+    ran = [c for c in checks if c is not None]
+    if not ran:
+        return []
+    return [_verdict("engine_cross_check", max(ran), 1e-10, "<=",
+                     "the run's engine reproduces an independent dense "
+                     "eigenbasis evolution of the same state")]
+
+
 # ---------------------------------------------------------------------------
 # experiment runners: each returns (results, verdicts, series, fields)
 
@@ -633,6 +643,7 @@ def _run_minimal_velocity(cfg):
                  "boundary shell mass stays negligible, so the periodic box "
                  "does not recirculate the state"),
     ]
+    verdicts += _cross_check_verdicts([series_data.cross_check])
     results = {
         "velocity": v,
         "velocity_floor": group_velocity_floor(spec, window[0]),
@@ -738,6 +749,7 @@ def _run_observability(cfg):
                  "<", "boundary shell mass stays negligible over the longest "
                  "gap"),
     ]
+    verdicts += _cross_check_verdicts([r.cross_check for r in runs])
     results = {
         "gaps": list(p["gaps"]),
         "ratios": ratios,

@@ -347,17 +347,30 @@ def dilation_generator(grid: GridSpec) -> DilationMatrix:
 
 
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Assemble H as a dense Hermitian matrix (dofs <= 4096)."""
+    """Assemble H as a dense real symmetric float64 matrix (dofs <= 4096).
+
+    The kinetic part is the periodic convolution H[x, y] = k[(x - y) mod shape]
+    by the kernel k = ifftn(symbol).  Every symbol here is real and even on
+    the frequency lattice, so k is real and even; a kernel whose imaginary
+    part is not at rounding level raises.  k is made exactly even, so H
+    equals its transpose bit for bit.
+    """
     g = spec.grid
     n = g.dofs
     if n > 4096:
         raise ValueError(f"dense assembly capped at 4096 dofs, grid has {n}")
-    basis = np.eye(n, dtype=complex).reshape((n,) + g.shape)
-    spatial_axes = tuple(range(1, g.dim + 1))
-    sym = kinetic_symbol(spec)
-    cols = np.fft.ifftn(sym[None, ...] * np.fft.fftn(basis, axes=spatial_axes),
-                        axes=spatial_axes)
-    h = cols.reshape(n, n).T
+    kernel = np.fft.ifftn(kinetic_symbol(spec))
+    if np.abs(kernel.imag).max() > 1e-12 * np.abs(kernel).max():
+        raise ValueError("kinetic kernel is not real: the symbol is not even")
+    axes = tuple(range(g.dim))
+    k = kernel.real
+    k = 0.5 * (k + np.roll(np.flip(k), 1, axis=axes))      # k(-x) = k(x)
+    # window s of the doubled reversed kernel reads k[(m - 1 - s - y) mod m]
+    # over y, m points per axis, so window s = m - 1 - x is row x of H
+    rev = np.tile(np.flip(k), (2,) * g.dim)
+    windows = np.lib.stride_tricks.sliding_window_view(rev, g.shape)
+    rows = tuple(slice(m - 1, None, -1) for m in g.shape)
+    h = np.array(windows[rows]).reshape(n, n)
     if spec.kind in ("potential", "inverse_square"):
-        h = h + np.diag(potential_on_grid(spec).ravel())
-    return 0.5 * (h + h.conj().T)
+        h[np.diag_indices(n)] += potential_on_grid(spec).ravel()
+    return h

@@ -360,7 +360,7 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
     rows = np.nonzero(w_spatial > 0)[0]
     frame = eig_a.vectors[rows]
     frame *= w_spatial[rows, None]
-    coupling = (eig_a.vectors.T @ heig.vectors[:, keep].conj()).conj()
+    coupling = (eig_a.vectors.T @ heig.vectors[:, keep]).conj()   # V_A^H V_H, V_H real
 
     results = []
     constants = []

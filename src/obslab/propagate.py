@@ -53,25 +53,29 @@ def _strang_phases(spec: HamiltonianSpec, dt: float):
     return kin, pot
 
 
-def _strang_step(values: np.ndarray, spec: HamiltonianSpec, dt: float) -> np.ndarray:
+def _strang_step(v: np.ndarray, work: np.ndarray, spec: HamiltonianSpec,
+                 dt: float) -> None:
+    """One Strang step on v in place; work is a scratch array of v's shape."""
     kin, pot = _strang_phases(spec, dt)
-    v = pot * values
-    v = np.fft.ifftn(kin * np.fft.fftn(v))
-    return pot * v
+    np.multiply(pot, v, out=v)
+    np.fft.fftn(v, out=work)
+    np.multiply(kin, work, out=work)
+    np.fft.ifftn(work, out=v)
+    np.multiply(pot, v, out=v)
 
 
-def _splitstep_march(values: np.ndarray, spec: HamiltonianSpec, duration: float,
-                     dt: float) -> np.ndarray:
+def _splitstep_march(v: np.ndarray, spec: HamiltonianSpec, duration: float,
+                     dt: float) -> None:
+    """March the complex array v through duration in place."""
     if duration < 0:
         raise ValueError("duration must be nonnegative")
     nsteps = int(round(duration / dt))
     remainder = duration - nsteps * dt
-    v = values
+    work = np.empty_like(v)
     for _ in range(nsteps):
-        v = _strang_step(v, spec, dt)
+        _strang_step(v, work, spec, dt)
     if abs(remainder) > 1e-12 * max(dt, 1.0):
-        v = _strang_step(v, spec, remainder)
-    return v
+        _strang_step(v, work, spec, remainder)
 
 
 def _calculus(plan: PropagatorPlan):
@@ -89,7 +93,9 @@ def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
     if field.grid != spec.grid:
         raise ValueError("field grid does not match plan grid")
     if plan.engine == "splitstep":
-        return Field(field.grid, _splitstep_march(field.values, spec, t, plan.dt))
+        v = field.values.astype(complex)        # the march runs in place
+        _splitstep_march(v, spec, t, plan.dt)
+        return Field(field.grid, v)
     calc = _calculus(plan)
     return Field(field.grid, calc.apply(np.exp(-1j * t * calc.spectrum), field.values))
 
@@ -109,10 +115,10 @@ def evolve_series(plan: PropagatorPlan, field: Field, times) -> tuple[np.ndarray
         raise ValueError("times must be ascending and nonnegative")
     out: list[Field] = []
     if plan.engine == "splitstep":
-        v = field.values
+        v = field.values.astype(complex)
         prev = 0.0
         for t in times:
-            v = _splitstep_march(v, plan.hamiltonian, t - prev, plan.dt)
+            _splitstep_march(v, plan.hamiltonian, t - prev, plan.dt)
             prev = t
             out.append(Field(field.grid, v.copy()))
         return times, out

@@ -91,9 +91,26 @@ class FourierCalculus(_Calculus):
         return np.fft.ifftn(coeff)
 
 
+def _dot(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """basis @ x along the first axis of x.
+
+    A real basis meets a complex x as one real product over its (re, im)
+    pairs, so numpy makes no complex copy of the basis.
+    """
+    if np.iscomplexobj(basis) or not np.iscomplexobj(x):
+        return basis @ x
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    out = basis @ x.view(np.float64).reshape(x.shape[0], -1)
+    return out.view(np.complex128).reshape(basis.shape[:1] + x.shape[1:])
+
+
 @dataclass(eq=False)
 class EigenDecomposition(_Calculus):
-    """Dense Hermitian eigendecomposition; eigenvalues ascending."""
+    """Dense eigendecomposition, eigenvalues ascending.
+
+    The basis of H is real orthogonal (float64); that of the dilation
+    generator is complex unitary.
+    """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray            # columns are eigenvectors
@@ -105,10 +122,10 @@ class EigenDecomposition(_Calculus):
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         # conj(V^T conj(v)) = V^H v without an n x n conjugated copy of V
-        return (self.vectors.T @ values.ravel().conj()).conj()
+        return _dot(self.vectors.T, values.ravel().conj()).conj()
 
     def backward(self, coeff: np.ndarray) -> np.ndarray:
-        return (self.vectors @ coeff).reshape(self.grid.shape)
+        return _dot(self.vectors, coeff).reshape(self.grid.shape)
 
     def residual(self, matrix: np.ndarray) -> float:
         r = matrix @ self.vectors - self.vectors * self.eigenvalues[None, :]
@@ -119,16 +136,22 @@ class EigenDecomposition(_Calculus):
         return np.nonzero(interval.contains(self.eigenvalues))[0]
 
     def projector(self, interval: Interval):
-        """Column-subset form V_I V_I^H, which skips the eigenvectors outside I."""
-        vi = self.vectors[:, self.projector_indices(interval)]
+        """Column-subset form V_I V_I^H, which skips the eigenvectors outside I.
+
+        The eigenvalues ascend, so V_I is one column range: a view of V.
+        """
+        idx = self.projector_indices(interval)
+        vi = self.vectors[:, idx[0]:idx[-1] + 1] if idx.size else self.vectors[:, :0]
         shape = self.grid.shape
-        return lambda values: (vi @ (vi.T @ values.ravel().conj()).conj()).reshape(shape)
+        return lambda values: _dot(vi, _dot(vi.T, values.ravel().conj()).conj()).reshape(shape)
 
 
 @lru_cache(maxsize=3)
 def decompose_hamiltonian(spec: HamiltonianSpec) -> EigenDecomposition:
-    m = dense_matrix(spec)
-    w, v = np.linalg.eigh(m)
+    """Real symmetric eigendecomposition of the dense H; cached and read-only."""
+    w, v = np.linalg.eigh(dense_matrix(spec))
+    w.flags.writeable = False
+    v.flags.writeable = False
     return EigenDecomposition(w, v, spec.grid)
 
 

@@ -204,6 +204,38 @@ def test_enss_threshold_above_the_dilation_spectrum_fails(tmp_path):
     assert report["results"]["bound_constants"][1] == 0.0
 
 
+def test_engine_cross_check_gates_the_observability_run(tmp_path, monkeypatch):
+    # below the dense budget the multiplier run is checked against the dense
+    # engine; a planted deviation fails that verdict alone, with exit 2
+    from obslab import inequality
+    path = write_config(tmp_path / "cfg.json", {
+        "grid": {"dim": 1, "half_extent": 64.0, "points_per_axis": 512},
+        "hamiltonian": {"kind": "fractional", "s": 1.0},
+        "parameters": {"packet": {"width": 4.0, "speed": 4.0}, "sigma": 0.5,
+                       "t1": 1.0}})
+    assert cli.run("observability", path, str(tmp_path / "clean")) == 0
+    report = json.loads((tmp_path / "clean" / "report.json").read_text())
+    check = {v["name"]: v for v in report["verdicts"]}["engine_cross_check"]
+    assert check["pass"] is True and check["threshold"] == 1e-10
+    assert check["measured"] == max(report["results"]["engine_cross_checks"])
+
+    exact = inequality.engine_cross_check
+    monkeypatch.setattr(inequality, "engine_cross_check",
+                        lambda plan, field, t: exact(plan, field, t) + 1e-9)
+    assert cli.run("observability", path, str(tmp_path / "planted")) == 2
+    report = json.loads((tmp_path / "planted" / "report.json").read_text())
+    failing = [v["name"] for v in report["verdicts"] if not v["pass"]]
+    assert failing == ["engine_cross_check"]
+
+
+def test_engine_cross_check_verdict_only_when_the_check_ran():
+    # the canned observability grid sits at the dense budget: no check
+    cfg = cli.resolve_config("observability", {})
+    results, verdicts, _, _ = cli._RUNNERS["observability"](cfg)
+    assert results["engine_cross_checks"] == [None, None, None]
+    assert "engine_cross_check" not in [v["name"] for v in verdicts]
+
+
 def test_failed_verdict_still_reports(tmp_path):
     cfg = json.loads(json.dumps(SMALL_UNCERTAINTY))
     # force a genuine invariant coincidence, then demand the impossible

@@ -56,17 +56,28 @@ def test_scaling_exponent_follows_kind():
 
 
 def test_apply_h_matches_dense_matrix():
-    g = make_grid(1, 8.0, 128)
     rng = np.random.default_rng(5)
-    f = Field(g, rng.standard_normal(128) + 1j * rng.standard_normal(128))
-    for spec in (HamiltonianSpec.free(g),
-                 HamiltonianSpec.fractional(g, 1.5),
-                 HamiltonianSpec.with_potential(g, gaussian_potential(0.7)),
-                 HamiltonianSpec.inverse_square(g, 0.1)):
-        m = dense_matrix(spec)
-        np.testing.assert_allclose(m, m.conj().T)
-        np.testing.assert_allclose(m @ f.values, apply_h(spec, f).values,
-                                   atol=1e-10)
+    for g, c in ((make_grid(1, 8.0, 128), 0.1), (make_grid(2, 4.0, 16), -0.1)):
+        f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        for spec in (HamiltonianSpec.free(g),
+                     HamiltonianSpec.fractional(g, 1.5),
+                     HamiltonianSpec.with_potential(g, gaussian_potential(0.7)),
+                     HamiltonianSpec.inverse_square(g, c)):
+            m = dense_matrix(spec)
+            assert m.dtype == np.float64
+            assert np.array_equal(m, m.T)
+            np.testing.assert_allclose(m @ f.values.ravel(),
+                                       apply_h(spec, f).values.ravel(), atol=1e-10)
+
+
+def test_dense_matrix_rejects_a_symbol_that_is_not_even(monkeypatch):
+    # an odd part in the symbol makes the convolution kernel complex
+    import obslab.hamiltonian as hamiltonian
+    g = make_grid(1, 8.0, 64)
+    xi = 2 * math.pi * np.fft.fftfreq(64, g.spacing)
+    monkeypatch.setattr(hamiltonian, "kinetic_symbol", lambda spec: xi**2 + xi)
+    with pytest.raises(ValueError, match="not even"):
+        dense_matrix(HamiltonianSpec.free(g))
 
 
 def test_inverse_square_potential_is_regularized():

@@ -166,6 +166,23 @@ def test_splitstep_remainder_substep(grid):
     assert _rel(split, dense) <= 1e-5
 
 
+def test_splitstep_leaves_its_input_alone(grid, packet):
+    # the march runs in place on a copy; each snapshot is its own array
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(1.0))
+    plan = PropagatorPlan(spec, "splitstep", dt=1e-2)
+    before = packet.values.copy()
+    evolve(plan, packet, 0.5)
+    np.testing.assert_array_equal(packet.values, before)
+    _, snaps = evolve_series(plan, packet, [0.0, 0.2, 0.5])
+    np.testing.assert_array_equal(packet.values, before)
+    arrays = [packet.values] + [s.values for s in snaps]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(snaps[0].values, before)
+    assert _rel(snaps[1], snaps[2]) > 1e-3
+
+
 def test_engine_cross_check_policy(grid, packet):
     spec = HamiltonianSpec.with_potential(grid, gaussian_potential(1.0))
     val = engine_cross_check(PropagatorPlan(spec, "splitstep", dt=1e-3),

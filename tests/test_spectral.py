@@ -127,3 +127,44 @@ def test_dilation_projectors_split_the_identity():
     assert np.linalg.norm(project(minus, project(plus, v))) <= 1e-10
     np.testing.assert_allclose(project(plus, project(plus, v)),
                                project(plus, v), atol=1e-10)
+
+
+def test_real_basis_calculus_matches_complex_matmul():
+    # the (re, im)-pair products against V cast to complex, as numpy would
+    g = make_grid(1, 8.0, 128)
+    eig = decompose_hamiltonian(HamiltonianSpec.with_potential(g, gaussian_potential(1.0)))
+    v = eig.vectors.astype(complex)
+    rng = np.random.default_rng(13)
+    f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    np.testing.assert_allclose(eig.forward(f), v.conj().T @ f, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(eig.backward(f), v @ f, rtol=0, atol=1e-13)
+    w = Interval(0.5, 4.0)
+    vi = v[:, eig.projector_indices(w)]
+    np.testing.assert_allclose(eig.projector(w)(f), vi @ (vi.conj().T @ f),
+                               rtol=0, atol=1e-13)
+
+
+def test_hamiltonian_basis_is_real_for_every_kind():
+    g = make_grid(1, 8.0, 64)
+    for spec in (HamiltonianSpec.free(g), HamiltonianSpec.fractional(g, 1.5),
+                 HamiltonianSpec.with_potential(g, gaussian_potential(0.5)),
+                 HamiltonianSpec.inverse_square(g, 0.1)):
+        eig = decompose_hamiltonian(spec)
+        assert eig.vectors.dtype == np.float64
+        assert not eig.vectors.flags.writeable
+
+
+def test_real_basis_products_make_no_square_temporary():
+    # float64 @ complex128 would cast the whole basis: 16 n^2 bytes
+    import tracemalloc
+    g = make_grid(1, 8.0, 512)
+    eig = decompose_hamiltonian(HamiltonianSpec.with_potential(g, gaussian_potential(1.0)))
+    f = np.random.default_rng(14).standard_normal(512) + 1j
+    for apply in (eig.forward, eig.backward, eig.projector(Interval())):
+        tracemalloc.start()
+        try:
+            apply(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 512
