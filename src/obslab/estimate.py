@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,3 +130,17 @@ def loglog_fit(times, values, head_fraction: float = 0.2,
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return LogLogFit(float(slope), float(intercept), r2, times[keep], values[keep])
+
+
+def fit_or_nan(times, values, head_fraction: float = 0.2,
+               floor: float = 0.0) -> LogLogFit:
+    """loglog_fit, or a NaN fit when too few points are usable.
+
+    A measured series too short or too empty to fit is a failing result,
+    not a broken run: its slope and r^2 read NaN and fail their verdicts.
+    """
+    try:
+        return loglog_fit(times, values, head_fraction=head_fraction, floor=floor)
+    except ValueError:
+        empty = np.empty(0)
+        return LogLogFit(math.nan, math.nan, math.nan, empty, empty)

@@ -86,6 +86,18 @@ def _meshed(axis: np.ndarray, dim: int, which: int) -> np.ndarray:
     return axis.reshape(shape)
 
 
+def reflection_index(spec: GridSpec) -> np.ndarray:
+    """Flat index R of the reflection x -> -x: R[j] is the point at -x_j.
+
+    Each axis of m points maps j -> (2 (m // 2) - j) mod m, which fixes
+    x = 0 and x = -L; on a power-of-two grid x_{R j} = -x_j exactly.
+    """
+    m = spec.points_per_axis
+    axis = (2 * (m // 2) - np.arange(m)) % m
+    flat = np.arange(spec.dofs).reshape(spec.shape)
+    return flat[np.ix_(*(axis,) * spec.dim)].ravel()
+
+
 @lru_cache(maxsize=16)
 def radius_squared(spec: GridSpec) -> np.ndarray:
     """|x|^2 on the full grid."""

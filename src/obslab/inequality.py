@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import (POWER_MAX_ITER, POWER_SEED, POWER_TOL, LogLogFit,
-                       gram_operator_norm, loglog_fit)
+                       fit_or_nan, gram_operator_norm)
 from .grid import (Field, RegionMask, boundary_shell_mass, freq_radius_squared,
                    l2_norm, mass_in_region, radius_squared)
 from .hamiltonian import HamiltonianSpec, kinetic_symbol
@@ -252,7 +252,7 @@ def minimal_velocity_decay(plan: PropagatorPlan, psi: Field, v: float, times,
         vals = u.values
         masses[i] = float(cell * np.sum(strict_inside * (vals.real**2 + vals.imag**2)))
         wrap = max(wrap, boundary_shell_mass(u))
-    fit = loglog_fit(used, masses, head_fraction=head_fraction, floor=fit_floor)
+    fit = fit_or_nan(used, masses, head_fraction=head_fraction, floor=fit_floor)
     xc = engine_cross_check(plan, psi, float(used[len(used) // 2]))
     return DecaySeries(used, masses, fit, v, "interior_mass", wrap, xc)
 
@@ -349,14 +349,6 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
         z = heig.apply(middle, z)
         return w_spatial * eig_a.apply(last, z)
 
-    def fit_or_nan(norms):
-        """A threshold above every A eigenvalue empties chi^+ and leaves too
-        few nonzero norms to fit: the fit reads NaN and its verdict fails."""
-        try:
-            return loglog_fit(times, norms, head_fraction=0.2)
-        except ValueError:
-            return LogLogFit(math.nan, math.nan, math.nan, times[:0], norms[:0])
-
     rows = np.nonzero(w_spatial > 0)[0]
     frame = eig_a.vectors[rows]
     frame *= w_spatial[rows, None]
@@ -381,14 +373,15 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
             reached = float(np.linalg.norm(chain(x, mask_plus, ahead, mask_minus)))
             norms[i] = sigma
             defects[i] = abs(reached - sigma) / sigma if sigma > 0 else reached
-        fit = fit_or_nan(norms)
+        # a threshold above every A eigenvalue empties chi^+: a NaN fit
+        fit = fit_or_nan(times, norms)
         const = float(np.max(norms * times**0.9))
         results.append(DecaySeries(times, norms, fit, v, f"outgoing_norm(a={a})",
                                    cross_check=float(defects.max())))
         constants.append(const)
     ratio = max(constants) / min(constants) if min(constants) > 0 else math.inf
     stacked = np.max(np.stack([s.values for s in results]), axis=0)
-    max_series = DecaySeries(times, stacked, fit_or_nan(stacked), v,
+    max_series = DecaySeries(times, stacked, fit_or_nan(times, stacked), v,
                              "outgoing_norm(max over a)")
     return EnssResult(list(a_values), results, constants, ratio, theta,
                       max_series)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, reflection_index
 from .hamiltonian import (HamiltonianSpec, dense_matrix, dilation_generator,
                           kinetic_symbol)
 
@@ -146,10 +146,62 @@ class EigenDecomposition(_Calculus):
         return lambda values: _dot(vi, _dot(vi.T, values.ravel().conj()).conj()).reshape(shape)
 
 
+def _parity_blocks(h: np.ndarray, grid: GridSpec):
+    """Split H, which commutes with the reflection R: x -> -x, into the
+    blocks of the even and the odd functions.
+
+    Returns (even, odd, rep, par, pair): rep = {j : j <= R j} and
+    par = R[rep] list the representatives and their mirrors, pair marks the
+    representatives with rep != par.  With D = 1 on pairs and 1/sqrt(2) on
+    fixed points, even = D (H[rep, rep] + H[rep, par]) D in the orthonormal
+    basis (e_rep + e_par) / sqrt(2) (e_rep on a fixed point), and odd =
+    H[rep, rep] - H[rep, par] on the pairs, in the basis
+    (e_rep - e_par) / sqrt(2).  Raises when H[R, R] != H bit for bit.
+    """
+    r = reflection_index(grid)
+    rep = np.nonzero(np.arange(r.size) <= r)[0]
+    par = r[rep]
+    same = h[np.ix_(rep, rep)]
+    cross = h[np.ix_(rep, par)]
+    if not (np.array_equal(h[np.ix_(par, par)], same)
+            and np.array_equal(h[np.ix_(par, rep)], cross)):
+        raise ValueError("H does not commute with the reflection x -> -x")
+    pair = rep != par
+    d = np.where(pair, 1.0, math.sqrt(0.5))
+    even = same + cross
+    even *= d[:, None]
+    even *= d
+    odd = np.subtract(same, cross, out=same)[np.ix_(pair, pair)]
+    return even, odd, rep, par, pair
+
+
 @lru_cache(maxsize=3)
 def decompose_hamiltonian(spec: HamiltonianSpec) -> EigenDecomposition:
-    """Real symmetric eigendecomposition of the dense H; cached and read-only."""
-    w, v = np.linalg.eigh(dense_matrix(spec))
+    """Real symmetric eigendecomposition of the dense H; cached and read-only.
+
+    H commutes with x -> -x, so it is diagonalized as its even and odd
+    blocks, each about half the size (a quarter of the flops of one eigh).
+    The block eigenvectors are scattered into one n x n basis, each column
+    straight to its place in ascending eigenvalue order.
+    """
+    even, odd, rep, par, pair = _parity_blocks(dense_matrix(spec), spec.grid)
+    w_even, v_even = np.linalg.eigh(even)
+    w_odd, v_odd = np.linalg.eigh(odd)
+    del even, odd
+    n = spec.grid.dofs
+    spectrum = np.concatenate([w_even, w_odd])
+    order = np.argsort(spectrum, kind="stable")    # merge; ties keep even first
+    w = spectrum[order]
+    column = np.empty(n, dtype=np.intp)            # block column -> column of v
+    column[order] = np.arange(n)
+    col_even, col_odd = column[:w_even.size], column[w_even.size:]
+    v = np.zeros((n, n))
+    v_even *= np.where(pair, math.sqrt(0.5), 1.0)[:, None]   # c / sqrt(2) on a pair
+    v[np.ix_(rep, col_even)] = v_even
+    v[np.ix_(par, col_even)] = v_even
+    v_odd *= math.sqrt(0.5)                  # +-c / sqrt(2); 0 on fixed points
+    v[np.ix_(rep[pair], col_odd)] = v_odd
+    v[np.ix_(par[pair], col_odd)] = np.negative(v_odd, out=v_odd)
     w.flags.writeable = False
     v.flags.writeable = False
     return EigenDecomposition(w, v, spec.grid)

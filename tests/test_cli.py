@@ -204,6 +204,25 @@ def test_enss_threshold_above_the_dilation_spectrum_fails(tmp_path):
     assert report["results"]["bound_constants"][1] == 0.0
 
 
+def test_minimal_velocity_short_series_fails_its_fit_verdicts(tmp_path):
+    # three times, the first dropped as transient: two points cannot be
+    # fitted, so slope and r^2 read NaN and their verdicts fail (exit 2)
+    path = write_config(tmp_path / "cfg.json", {
+        "experiment": "minimal-velocity",
+        "parameters": {"times": {"start": 5, "stop": 50, "count": 3}}})
+    out = tmp_path / "out"
+    assert cli.run("minimal-velocity", path, str(out)) == 2
+    report = json.loads((out / "report.json").read_text())
+    by_name = {v["name"]: v for v in report["verdicts"]}
+    for name in ("decay_slope", "fit_quality"):
+        assert by_name[name]["pass"] is False
+        assert by_name[name]["measured"] == "nan"
+    assert by_name["wrap_monitor"]["pass"] is True
+    assert report["results"]["slope"] == "nan"
+    assert report["results"]["r_squared"] == "nan"
+    assert len(report["results"]["interior_masses"]) == 3
+
+
 def test_engine_cross_check_gates_the_observability_run(tmp_path, monkeypatch):
     # below the dense budget the multiplier run is checked against the dense
     # engine; a planted deviation fails that verdict alone, with exit 2
@@ -309,10 +328,11 @@ def test_acceptance_gates_on_runner_verdicts(monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "control", planted)
     result = acceptance.CRITERIA[7]()
     assert result.number == 8 and not result.passed
-    assert seen == [cli.resolve_config("control", {})]
+    assert seen == [cli.resolve_config("control", overlay)
+                    for overlay in ({}, {"parameters": {"radius": 1.0}})]
     failing = [v["name"] for case in result.details["cases"]
                for v in case["verdicts"] if not v["pass"]]
-    assert failing == ["planted"]
+    assert failing == ["planted", "planted"]
 
 
 # --- entry point ------------------------------------------------------------

@@ -4,9 +4,9 @@ algebra."""
 import numpy as np
 import pytest
 
-from obslab.estimate import (LogLogFit, PowerResult, gram_operator_norm,
-                             hermitian_operator_norm, loglog_fit,
-                             probe_vector)
+from obslab.estimate import (LogLogFit, PowerResult, fit_or_nan,
+                             gram_operator_norm, hermitian_operator_norm,
+                             loglog_fit, probe_vector)
 
 
 def test_probe_vector_is_deterministic_and_unit():
@@ -92,3 +92,11 @@ def test_loglog_fit_discards_head_and_floor():
 def test_loglog_fit_needs_three_points():
     with pytest.raises(ValueError):
         loglog_fit([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], head_fraction=0.0)
+
+
+def test_fit_or_nan_reads_nan_where_loglog_fit_raises():
+    fit = fit_or_nan([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], head_fraction=0.0)
+    assert np.isnan([fit.slope, fit.intercept, fit.r_squared]).all()
+    assert fit.times.size == fit.values.size == 0
+    t = np.linspace(1.0, 10.0, 12)
+    assert fit_or_nan(t, t**-2.0).slope == loglog_fit(t, t**-2.0).slope

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from obslab.grid import Field, l2_norm, make_grid
-from obslab.hamiltonian import (HamiltonianSpec, dilation_generator,
-                                gaussian_potential, zero_potential)
+from obslab import hamiltonian
+from obslab.grid import (Field, axis_coordinates, l2_norm, make_grid,
+                         reflection_index)
+from obslab.hamiltonian import (HamiltonianSpec, dense_matrix,
+                                dilation_generator, gaussian_potential,
+                                zero_potential)
 from obslab.spectral import (EigenDecomposition, FourierCalculus, Interval,
                              calculus, decompose_dilation,
                              decompose_hamiltonian, project_energy,
@@ -87,7 +90,6 @@ def test_eigendecomposition_residual_and_indices():
     g = make_grid(1, 8.0, 128)
     spec = HamiltonianSpec.with_potential(g, zero_potential())
     eig = decompose_hamiltonian(spec)
-    from obslab.hamiltonian import dense_matrix
     assert eig.residual(dense_matrix(spec)) <= 1e-12
     assert (np.diff(eig.eigenvalues) >= 0).all()
     idx = eig.projector_indices(Interval(0.0, 1.0))
@@ -168,3 +170,58 @@ def test_real_basis_products_make_no_square_temporary():
         finally:
             tracemalloc.stop()
         assert peak < 512 * 512
+
+
+# --- parity split -------------------------------------------------------------
+
+_KINDS = {
+    "free": lambda g: HamiltonianSpec.free(g),
+    "free_half": lambda g: HamiltonianSpec.free(g, "half"),
+    "fractional_s1": lambda g: HamiltonianSpec.fractional(g, 1.0),
+    "gaussian_well": lambda g: HamiltonianSpec.with_potential(g, gaussian_potential(0.25)),
+    # c < (dim - 2)^2 / 4: attractive in 1-D, repulsive on the plane
+    "inverse_square": lambda g: HamiltonianSpec.inverse_square(g, 0.1 if g.dim == 1 else -0.1),
+}
+
+
+def test_reflection_index_negates_coordinates():
+    for g in (make_grid(1, 8.0, 16), make_grid(2, 8.0, 8)):
+        r = reflection_index(g)
+        assert (r[r] == np.arange(g.dofs)).all()
+        assert (r == np.arange(g.dofs)).sum() == 2**g.dim
+        x = axis_coordinates(g)
+        coords = np.stack(np.meshgrid(*(x,) * g.dim, indexing="ij")).reshape(g.dim, -1)
+        # x -> -x, with the corner -L of each axis fixed (periodically -L = L)
+        mirrored = np.where(np.abs(coords) == g.half_extent, coords, -coords)
+        assert (coords[:, r] == mirrored).all()
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("grid", [(1, 8.0, 128), (2, 6.0, 16)], ids=["1d", "2d"])
+def test_parity_split_matches_full_eigh(kind, grid):
+    g = make_grid(*grid)
+    spec = _KINDS[kind](g)
+    h = dense_matrix(spec)
+    oracle = np.linalg.eigh(h)[0]
+    eig = decompose_hamiltonian(spec)
+    scale = np.abs(oracle).max()
+    assert np.abs(eig.eigenvalues - oracle).max() <= 1e-13 * scale
+    assert eig.residual(h) <= 1e-12
+    v = eig.vectors
+    assert np.abs(v.T @ v - np.eye(g.dofs)).max() <= 1e-12
+    mirrored = v[reflection_index(g)]
+    even = (mirrored == v).all(axis=0)
+    odd = (mirrored == -v).all(axis=0)
+    assert (even ^ odd).all()
+    # one even function per pair and fixed point, one odd one per pair
+    assert even.sum() == (g.dofs + 2**g.dim) // 2
+
+
+def test_off_centre_potential_is_refused(monkeypatch):
+    g = make_grid(1, 8.0, 64)
+    spec = HamiltonianSpec.with_potential(g, gaussian_potential(0.5))
+    x = axis_coordinates(g)
+    monkeypatch.setattr(hamiltonian, "potential_on_grid",
+                        lambda s: np.exp(-(x - 1.0) ** 2))
+    with pytest.raises(ValueError, match="reflection"):
+        decompose_hamiltonian(spec)
