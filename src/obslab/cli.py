@@ -383,8 +383,27 @@ def _validate(instance, experiment: str | None) -> None:
         raise error
 
 
+# Hamiltonian keys that only one kind, or some potential forms, read
+_KIND_KEYS = {"s": "fractional", "c": "inverse_square", "potential": "potential"}
+_FORM_KEYS = {"amplitude": ("gaussian", "ball"), "radius": ("ball",)}
+
+
+def _check_hamiltonian_keys(h: dict) -> None:
+    """Reject a key that the chosen kind or potential form never reads."""
+    for key, kind in _KIND_KEYS.items():
+        if key in h and h["kind"] != kind:
+            raise ValueError(f"hamiltonian key {key!r} applies to kind "
+                             f"{kind!r} only, not {h['kind']!r}")
+    pot = h.get("potential", {})
+    for key, forms in _FORM_KEYS.items():
+        if key in pot and pot["form"] not in forms:
+            raise ValueError(f"potential key {key!r} is not read by form "
+                             f"{pot['form']!r}")
+
+
 def resolve_config(experiment: str, overlay: dict) -> dict:
-    """Canned defaults overlaid with `overlay`; schema errors raise."""
+    """Canned defaults overlaid with `overlay`; schema errors and Hamiltonian
+    keys that the chosen kind or form never reads raise."""
     # the round trip deep-copies, so the result shares nothing with
     # DEFAULTS or the overlay
     merged = json.loads(json.dumps(_deep_merge(DEFAULTS[experiment], overlay)))
@@ -394,6 +413,7 @@ def resolve_config(experiment: str, overlay: dict) -> dict:
             f"config names experiment {merged['experiment']!r}, "
             f"subcommand is {experiment!r}")
     _validate(merged.get("parameters", {}), experiment)
+    _check_hamiltonian_keys(merged["hamiltonian"])
     return merged
 
 
@@ -545,6 +565,17 @@ def _packet_field(grid, packet):
     return Field(grid, f.values / l2_norm(f))
 
 
+def _hypothesis_verdicts(spec):
+    """The repulsive_hypothesis verdict, for potential-kind Hamiltonians."""
+    if spec.kind != "potential":
+        return []
+    from .hamiltonian import min_virial
+
+    return [_verdict("repulsive_hypothesis", min_virial(spec), -1e-12, ">=",
+                     "the potential is repulsive, -x.grad V >= 0, as the "
+                     "minimal velocity estimates assume")]
+
+
 def _cross_check_verdicts(checks):
     """The engine_cross_check verdict, when the dense check ran at all."""
     ran = [c for c in checks if c is not None]
@@ -588,6 +619,7 @@ def _run_uncertainty(cfg):
                  "norms at equal scaling invariant R delta^(1/p) coincide, "
                  "reflecting the dilation covariance of the pair"),
     ]
+    verdicts += _hypothesis_verdicts(spec)
     results = {
         "scan_norms": scan.norms,
         "radii": list(scan.radii),
@@ -644,6 +676,7 @@ def _run_minimal_velocity(cfg):
                  "does not recirculate the state"),
     ]
     verdicts += _cross_check_verdicts([series_data.cross_check])
+    verdicts += _hypothesis_verdicts(spec)
     results = {
         "velocity": v,
         "velocity_floor": group_velocity_floor(spec, window[0]),
@@ -687,6 +720,7 @@ def _run_enss(cfg):
         "norm_witness", max(s.cross_check for s in res.series), 1e-8, "<=",
         "each exact norm is attained: its top singular vector, sent through "
         "the operator chain, reproduces the singular value"))
+    verdicts += _hypothesis_verdicts(spec)
     results = {
         "mourre_floor": res.mourre_floor,
         "a_values": list(res.thresholds),
@@ -750,6 +784,7 @@ def _run_observability(cfg):
                  "gap"),
     ]
     verdicts += _cross_check_verdicts([r.cross_check for r in runs])
+    verdicts += _hypothesis_verdicts(spec)
     results = {
         "gaps": list(p["gaps"]),
         "ratios": ratios,
@@ -810,6 +845,7 @@ def _run_sharpness(cfg):
                  "boundary shell mass stays negligible at the observation "
                  "time"),
     ]
+    verdicts += _hypothesis_verdicts(spec)
     results = {
         "ks": list(table.ks),
         "exterior_masses": table.exterior_masses,
@@ -889,6 +925,7 @@ def _run_control(cfg):
                  "the controls vanish identically off their observation "
                  "regions"),
     ]
+    verdicts += _hypothesis_verdicts(spec)
     results = {
         "y_norm": ynorm,
         "adjoint_defect": adjoint,

@@ -41,7 +41,6 @@ class ControlProblem:
     horizon: float
     radius: float
     sigma: float
-    min_time_factor: float = 10.0
 
     def __post_init__(self):
         if not 0 < self.tau1 < self.tau2 < self.horizon:
@@ -59,11 +58,6 @@ class ControlProblem:
         p = self.hamiltonian.s
         return self.sigma * (self.tau2 - self.tau1) / self.radius ** (p - 1.0)
 
-    @property
-    def window_ok(self) -> bool:
-        p = self.hamiltonian.s
-        return self.tau2 - self.tau1 > self.radius**p * self.min_time_factor
-
     def snapped_to(self, plan: "PropagatorPlan") -> "ControlProblem":
         """Round the kick times onto the splitstep lattice; no-op otherwise."""
         if plan.engine != "splitstep":
@@ -71,8 +65,7 @@ class ControlProblem:
         dt = plan.dt
         t1, t2 = (round(t / dt) * dt for t in (self.tau1, self.tau2))
         return ControlProblem(self.hamiltonian, self.u0, self.u_target,
-                              t1, t2, self.horizon, self.radius, self.sigma,
-                              self.min_time_factor)
+                              t1, t2, self.horizon, self.radius, self.sigma)
 
     def mask(self, index: int) -> np.ndarray:
         """Indicator of chi(|x| >= r_index); radius 0 covers everything."""

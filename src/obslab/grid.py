@@ -158,15 +158,6 @@ def inner(f: Field, g: Field) -> complex:
     return complex(f.grid.cell_volume * np.vdot(f.values, g.values))
 
 
-def fourier_transform(field: Field) -> Field:
-    """Unitary FFT; output indexed by the FFT frequency lattice."""
-    return Field(field.grid, np.fft.fftn(field.values, norm="ortho"))
-
-
-def inverse_fourier_transform(field: Field) -> Field:
-    return Field(field.grid, np.fft.ifftn(field.values, norm="ortho"))
-
-
 @dataclass(frozen=True)
 class RegionMask:
     """Radial region; the boundary sphere |x| = radius belongs to the interior."""

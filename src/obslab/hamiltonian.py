@@ -1,4 +1,4 @@
-"""Hamiltonians H = kinetic multiplier + real potential, and their diagnostics.
+"""Hamiltonians H = kinetic multiplier + real potential, and the virial check.
 
 Kinds:
   free            kinetic only, symbol kappa * |xi|^2
@@ -13,7 +13,6 @@ dilation generator A; the full convention doubles group velocities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -28,15 +27,10 @@ CONVENTIONS = ("full", "half")
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Real potential sampled from a callable V(x1, ..., xn).
-
-    xgrad_fn, when given, evaluates x . grad V analytically; otherwise the
-    radial derivative is taken by centered differences on the grid.
-    """
+    """Real potential sampled from a callable V(x1, ..., xn)."""
 
     name: str
     fn: Callable
-    xgrad_fn: Callable | None = None
 
 
 def zero_potential() -> PotentialSpec:
@@ -50,15 +44,11 @@ def gaussian_potential(amplitude: float) -> PotentialSpec:
         r2 = sum(a**2 for a in axes)
         return amplitude * np.exp(-r2)
 
-    def xgrad(*axes):
-        r2 = sum(a**2 for a in axes)
-        return -2.0 * amplitude * r2 * np.exp(-r2)
-
-    return PotentialSpec(f"gaussian({amplitude})", fn, xgrad)
+    return PotentialSpec(f"gaussian({amplitude})", fn)
 
 
 def ball_potential(amplitude: float = 1.0, radius: float = 1.0) -> PotentialSpec:
-    """Indicator of the ball |x| <= radius; handy as a Kato-norm reference."""
+    """amplitude times the indicator of the ball |x| <= radius."""
 
     def fn(*axes):
         r2 = sum(a**2 for a in axes)
@@ -155,91 +145,6 @@ def apply_h(spec: HamiltonianSpec, field: Field) -> Field:
     return Field(spec.grid, out)
 
 
-def scale_hamiltonian(spec: HamiltonianSpec, R: float) -> HamiltonianSpec:
-    """Conjugate by the dilation isometry: returns H_R with U_R^-1 H_R U_R = R^p H.
-
-    free, fractional and inverse_square are fixed points; a potential V becomes
-    V_R(x) = R^2 V(R x) on the same grid.
-    """
-    if R <= 0:
-        raise ValueError("scaling factor must be positive")
-    if spec.kind != "potential":
-        return spec
-    base = spec.potential
-
-    def fn(*axes):
-        return R**2 * base.fn(*(R * a for a in axes))
-
-    xgrad = None
-    if base.xgrad_fn is not None:
-        def xgrad(*axes):
-            return R**2 * base.xgrad_fn(*(R * a for a in axes))
-
-    scaled = PotentialSpec(f"{base.name}@R={R}", fn, xgrad)
-    return HamiltonianSpec(spec.grid, "potential", potential=scaled,
-                           convention=spec.convention)
-
-
-def kato_admissibility_threshold(dim: int = 3) -> float:
-    """pi^{n/2} / Gamma(n/2 - 1); equals pi at n = 3."""
-    if dim <= 2:
-        raise ValueError("threshold defined for dim >= 3")
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 - 1.0)
-
-
-def kato_norm(potential: PotentialSpec, grid: GridSpec, rho: float | None = None) -> float:
-    """Global Kato norm sup_x int |V(y)| / |x - y|^{n-2} dy on a 3-D grid.
-
-    The convolution runs over the periodic lattice by FFT; the singular shell
-    |x - y| < rho is integrated analytically with V frozen at x, contributing
-    2 pi rho^2 |V(x)|.  Returns inf when the sampled potential is not finite.
-    """
-    if grid.dim != 3:
-        raise ValueError("Kato norm implemented for dim = 3 only")
-    if rho is None:
-        rho = 2.0 * grid.spacing
-    x = axis_coordinates(grid)
-    axes = [_meshed(x, grid.dim, ax) for ax in range(grid.dim)]
-    v = np.abs(np.broadcast_to(np.asarray(potential.fn(*axes), dtype=float), grid.shape))
-    if not np.isfinite(v).all():
-        return math.inf
-    r = np.sqrt(radius_squared(grid))
-    kern = np.zeros(grid.shape)
-    far = r >= rho
-    kern[far] = 1.0 / r[far]
-    # displacement kernel must sit at index 0 for the periodic convolution
-    kern = np.fft.ifftshift(kern)
-    conv = np.fft.ifftn(np.fft.fftn(kern) * np.fft.fftn(v)).real * grid.cell_volume
-    conv += 2.0 * math.pi * rho**2 * v
-    return float(conv.max())
-
-
-def _spectral_gradient_squared(field: Field) -> float:
-    """int |grad f|^2 via Parseval on the frequency lattice."""
-    g = field.grid
-    fh = np.fft.fftn(field.values, norm="ortho")
-    return float(g.cell_volume * np.sum(freq_radius_squared(g) * (fh.real**2 + fh.imag**2)))
-
-
-def hardy_check(field: Field) -> tuple[float, float]:
-    """Return (int |f|^2 / |x|^2, 4/(n-2)^2 * int |grad f|^2) on a 3-D grid.
-
-    The origin cell is excluded from the left side.  For smooth f vanishing
-    near the origin the left side should not exceed the right.
-    """
-    g = field.grid
-    if g.dim != 3:
-        raise ValueError("Hardy check implemented for dim = 3 only")
-    r2 = radius_squared(g)
-    weight = np.zeros(g.shape)
-    nonzero = r2 > 0
-    weight[nonzero] = 1.0 / r2[nonzero]
-    v = field.values
-    lhs = float(g.cell_volume * np.sum(weight * (v.real**2 + v.imag**2)))
-    rhs = 4.0 / (g.dim - 2) ** 2 * _spectral_gradient_squared(field)
-    return lhs, rhs
-
-
 def _x_dot_grad(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """x . grad of a sampled function by centered differences (periodic roll)."""
     x = axis_coordinates(grid)
@@ -251,63 +156,14 @@ def _x_dot_grad(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def bandlimited_battery(grid: GridSpec, count: int = 32, seed: int = 0x5EED) -> list[Field]:
-    """Reproducible smooth test states: random low-band frequency content
-    under a spatial window that dies before the boundary."""
-    rng = np.random.default_rng(seed)
-    xi2 = freq_radius_squared(grid)
-    xi_max = float(np.sqrt(xi2.max()))
-    band = xi2 <= (xi_max / 4.0) ** 2
-    r = np.sqrt(radius_squared(grid))
-    L = grid.half_extent
-    window = np.clip((0.85 * L - r) / (0.25 * L), 0.0, 1.0)
-    window = window**2 * (3 - 2 * window)  # smoothstep shoulder
-    states = []
-    for _ in range(count):
-        coeff = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * band
-        v = np.fft.ifftn(coeff) * window
-        nrm = np.sqrt(grid.cell_volume * np.vdot(v, v).real)
-        states.append(Field(grid, v / nrm))
-    return states
+def min_virial(spec: HamiltonianSpec) -> float:
+    """Minimum over the grid of -x . grad V, by centered differences.
 
-
-@dataclass
-class RepulsiveReport:
-    min_virial: float                 # min over the grid of -x . grad V
-    passes: bool
-    bound_constants: dict             # k -> max_f ||(x.grad)^k V f|| / (||Delta f||/2 + ||f||)
-
-
-def check_repulsive(potential: PotentialSpec, grid: GridSpec,
-                    battery_size: int = 32, seed: int = 0x5EED) -> RepulsiveReport:
-    """Check -x . grad V >= 0 and sample relative-bound constants.
-
-    The constants are empirical: for k = 0, 1, 2 we report the largest ratio
-    ||(x.grad)^k V f|| / (||Delta f||/2 + ||f||) over a fixed battery of
-    band-limited states.  They are measured, not proved.
+    The repulsive virial -x . grad V >= 0 is the hypothesis under which the
+    minimal velocity estimates hold for a potential.
     """
-    x = axis_coordinates(grid)
-    axes = [_meshed(x, grid.dim, ax) for ax in range(grid.dim)]
-    v = np.broadcast_to(np.asarray(potential.fn(*axes), dtype=float), grid.shape).copy()
-    if potential.xgrad_fn is not None:
-        xg = np.broadcast_to(np.asarray(potential.xgrad_fn(*axes), dtype=float), grid.shape).copy()
-    else:
-        xg = _x_dot_grad(v, grid)
-    min_virial = float((-xg).min())
-
-    iterates = [v, xg, _x_dot_grad(xg, grid)]
-    states = bandlimited_battery(grid, battery_size, seed)
-    xi2 = freq_radius_squared(grid)
-    constants = {}
-    for k, vk in enumerate(iterates):
-        worst = 0.0
-        for f in states:
-            num = np.sqrt(grid.cell_volume * np.sum(np.abs(vk * f.values) ** 2))
-            lap = np.fft.ifftn(xi2 * np.fft.fftn(f.values))
-            den = 0.5 * np.sqrt(grid.cell_volume * np.vdot(lap, lap).real) + f.norm()
-            worst = max(worst, float(num / den))
-        constants[k] = worst
-    return RepulsiveReport(min_virial, min_virial >= -1e-12, constants)
+    virial = -_x_dot_grad(potential_on_grid(spec), spec.grid)
+    return float(virial.min()) + 0.0       # + 0.0 reads a -0.0 minimum as 0.0
 
 
 @dataclass(eq=False)

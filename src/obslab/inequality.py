@@ -54,15 +54,10 @@ class UncertaintyResult:
 
 
 def uncertainty_norm(spec: HamiltonianSpec, radius: float, threshold: float,
-                     energy_floor: float = -math.inf, tol: float = POWER_TOL,
-                     max_iter: int = POWER_MAX_ITER,
+                     tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER,
                      seed: int = POWER_SEED) -> UncertaintyResult:
-    """||chi(|x| <= radius) chi(H <= threshold)|| by power iteration.
-
-    energy_floor > -inf shrinks the spectral window to (floor, threshold],
-    which is how a zero mode gets excluded.
-    """
-    window = Interval(energy_floor, threshold, include_hi=True)
+    """||chi(|x| <= radius) chi(H <= threshold)|| by power iteration."""
+    window = Interval(-math.inf, threshold, include_hi=True)
     calc = calculus(spec)
     if not window.contains(calc.spectrum).any():
         return UncertaintyResult(radius, threshold, 0.0, 0, 0.0, True, "empty")
@@ -78,15 +73,15 @@ def uncertainty_norm(spec: HamiltonianSpec, radius: float, threshold: float,
                              r.residual, r.converged, "power")
 
 
-def uncertainty_norm_dense(spec: HamiltonianSpec, radius: float, threshold: float,
-                           energy_floor: float = -math.inf) -> UncertaintyResult:
+def uncertainty_norm_dense(spec: HamiltonianSpec, radius: float,
+                           threshold: float) -> UncertaintyResult:
     """SVD oracle for the same norm; needs the spectral window explicitly.
 
     For multiplier kinds the band eigenvectors are discrete Fourier modes, so
     the masked thin matrix is assembled directly and works at any grid size.
     """
     g = spec.grid
-    window = Interval(energy_floor, threshold, include_hi=True)
+    window = Interval(-math.inf, threshold, include_hi=True)
     inside = (radius_squared(g) <= radius**2).ravel()
     if spec.is_multiplier:
         mask = window.contains(kinetic_symbol(spec))
@@ -124,23 +119,18 @@ class UncertaintyScan:
     collapse_groups: list
 
 
-def uncertainty_scan(spec: HamiltonianSpec, radii, thresholds,
-                     method: str = "dense", **kw) -> UncertaintyScan:
-    """Scan the norm over a grid of (R, delta); check monotonicity and the
-    scaling collapse along the invariant R * delta^{1/p}.
+def uncertainty_scan(spec: HamiltonianSpec, radii, thresholds) -> UncertaintyScan:
+    """Scan the norm over a grid of (R, delta) with the SVD oracle; check
+    monotonicity and the scaling collapse along the invariant R * delta^{1/p}.
 
-    method "dense" uses the SVD oracle, "power" power iteration; both need
-    the dense eigenbasis for non-multiplier kinds (at most 4096 dofs).
+    Non-multiplier kinds need the dense eigenbasis (at most 4096 dofs).
     """
-    norm_of = {"dense": uncertainty_norm_dense, "power": uncertainty_norm}.get(method)
-    if norm_of is None:
-        raise ValueError(f"unknown uncertainty method {method!r}")
     radii = np.sort(np.asarray(radii, dtype=float))
     thresholds = np.sort(np.asarray(thresholds, dtype=float))
     norms = np.zeros((radii.size, thresholds.size))
     for i, r in enumerate(radii):
         for j, d in enumerate(thresholds):
-            norms[i, j] = norm_of(spec, r, d, **kw).norm
+            norms[i, j] = uncertainty_norm_dense(spec, r, d).norm
 
     violations = 0
     slack = 1e-9

@@ -98,6 +98,33 @@ def test_experiment_name_must_match(tmp_path):
         cli.load_config("uncertainty", path)
 
 
+def test_hamiltonian_keys_the_run_would_ignore_are_rejected(tmp_path, capsys):
+    # each key is one the chosen kind or potential form never reads
+    planted = [
+        {"kind": "free", "s": 3.0},
+        {"kind": "fractional", "s": 1.0, "c": 0.1},
+        {"kind": "free", "potential": {"form": "gaussian"}},
+        {"kind": "potential", "potential": {"form": "zero", "amplitude": 1.0}},
+        {"kind": "potential", "potential": {"form": "gaussian", "radius": 1.0}},
+    ]
+    for i, hamiltonian in enumerate(planted):
+        path = write_config(tmp_path / f"cfg{i}.json", {
+            "grid": {"dim": 1, "half_extent": 32.0, "points_per_axis": 256},
+            "hamiltonian": hamiltonian})
+        out = tmp_path / f"out{i}"
+        assert cli.run("uncertainty", path, str(out)) == 1
+        assert not out.exists()
+        assert " key " in capsys.readouterr().err
+    # the same keys where they are read
+    for hamiltonian in ({"kind": "fractional", "s": 3.0},
+                        {"kind": "inverse_square", "c": -0.1},
+                        {"kind": "potential",
+                         "potential": {"form": "ball", "amplitude": 0.5,
+                                       "radius": 2.0}}):
+        cfg = cli.resolve_config("uncertainty", {"hamiltonian": hamiltonian})
+        assert cfg["hamiltonian"] == {"convention": "full", **hamiltonian}
+
+
 def test_acceptance_overlays_resolve():
     # schema drift in a pinned acceptance case fails here, without a run
     criteria = acceptance.CRITERIA[1:-1]
@@ -253,6 +280,35 @@ def test_engine_cross_check_verdict_only_when_the_check_ran():
     results, verdicts, _, _ = cli._RUNNERS["observability"](cfg)
     assert results["engine_cross_checks"] == [None, None, None]
     assert "engine_cross_check" not in [v["name"] for v in verdicts]
+
+
+def test_repulsive_hypothesis_gates_potential_runs(tmp_path):
+    # a Gaussian well of negative amplitude is attractive: -x.grad V < 0
+    cfg = json.loads(json.dumps(SMALL_UNCERTAINTY))
+    outcomes = []
+    for amplitude, code in ((0.25, 0), (-0.25, 2)):
+        cfg["hamiltonian"] = {"kind": "potential", "potential": {
+            "form": "gaussian", "amplitude": amplitude}}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / f"well{amplitude}"
+        assert cli.run("uncertainty", path, str(out)) == code
+        report = json.loads((out / "report.json").read_text())
+        check = report["verdicts"][-1]
+        assert check["name"] == "repulsive_hypothesis"
+        assert check["threshold"] == -1e-12 and check["comparison"] == ">="
+        failing = [v["name"] for v in report["verdicts"] if not v["pass"]]
+        outcomes.append((check["measured"], failing))
+    assert outcomes[0] == (0.0, [])
+    assert outcomes[1][0] < -0.1 and outcomes[1][1] == ["repulsive_hypothesis"]
+
+
+def test_repulsive_hypothesis_absent_for_other_kinds():
+    for hamiltonian in ({"kind": "free"}, {"kind": "fractional", "s": 1.0},
+                        {"kind": "inverse_square", "c": -0.1}):
+        cfg = cli.resolve_config("uncertainty", {**SMALL_UNCERTAINTY,
+                                                 "hamiltonian": hamiltonian})
+        _, verdicts, _, _ = cli._RUNNERS["uncertainty"](cfg)
+        assert "repulsive_hypothesis" not in [v["name"] for v in verdicts]
 
 
 def test_failed_verdict_still_reports(tmp_path):

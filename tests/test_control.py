@@ -52,13 +52,9 @@ def test_geometry_rules(setup):
     assert problem.second_radius == 0.0
     assert np.all(problem.mask(1) == 1.0)
     assert np.all(problem.mask(2) == 1.0)
-    ball = ControlProblem(spec, u0, ut, 0.5, 1.0, 2.0, 1.0, 1.0,
-                          min_time_factor=0.3)
+    ball = ControlProblem(spec, u0, ut, 0.5, 1.0, 2.0, 1.0, 1.0)
     # sigma (tau2 - tau1) / R^(p-1) with p = 2
     assert ball.second_radius == pytest.approx(0.5)
-    assert ball.window_ok          # 0.5 > 1 * 0.3
-    strict = ControlProblem(spec, u0, ut, 0.5, 1.0, 2.0, 1.0, 1.0)
-    assert not strict.window_ok    # 0.5 < 1 * 10
     outside = (radius_squared(g) > 1.0).astype(float)
     assert np.array_equal(ball.mask(1), outside)
 
@@ -127,8 +123,7 @@ def test_full_mask_solution_hits_regularization_floor(setup):
 
 def test_masked_problem_verifies_on_second_engine(setup):
     g, spec, plan, u0, ut, _ = setup
-    problem = ControlProblem(spec, u0, ut, 0.5, 1.0, 2.0, 1.0, 1.0,
-                             min_time_factor=0.3)
+    problem = ControlProblem(spec, u0, ut, 0.5, 1.0, 2.0, 1.0, 1.0)
     sol = solve_impulse_control(plan, problem, 1e-4)
     assert sol.converged
     check = verify_control(plan, problem, sol)

@@ -1,4 +1,4 @@
-"""Hamiltonian assembly, potentials, Kato and Hardy diagnostics."""
+"""Hamiltonian assembly, potentials and the virial check."""
 
 import math
 
@@ -7,11 +7,10 @@ import pytest
 
 from obslab.grid import Field, field_from_function, l2_norm, make_grid
 from obslab.hamiltonian import (HamiltonianSpec, ball_potential,
-                                check_repulsive, dense_matrix,
-                                dilation_generator, gaussian_potential,
-                                hardy_check, kato_admissibility_threshold,
-                                kato_norm, kinetic_symbol, potential_on_grid,
-                                apply_h, scale_hamiltonian, zero_potential)
+                                dense_matrix, dilation_generator,
+                                gaussian_potential, kinetic_symbol,
+                                min_virial, potential_on_grid, apply_h,
+                                zero_potential)
 
 
 def test_constructor_validation():
@@ -90,65 +89,24 @@ def test_inverse_square_potential_is_regularized():
     assert np.isfinite(v).all()
 
 
-def test_gaussian_potential_analytic_gradient():
-    pot = gaussian_potential(0.8)
-    x = np.linspace(-3, 3, 401)
-    v = pot.fn(x)
-    num = x * np.gradient(v, x)
-    np.testing.assert_allclose(pot.xgrad_fn(x), num, atol=2e-3)
+def test_min_virial_reads_the_sign_of_the_potential():
+    def virial(grid, potential):
+        return min_virial(HamiltonianSpec.with_potential(grid, potential))
 
-
-def test_kato_threshold_value():
-    assert kato_admissibility_threshold(3) == pytest.approx(math.pi)
-    with pytest.raises(ValueError):
-        kato_admissibility_threshold(2)
-
-
-@pytest.mark.parametrize("pot", [gaussian_potential(1.0),
-                                 ball_potential(1.0, 1.0)])
-def test_kato_norm_of_reference_potentials(pot):
-    # both references integrate to exactly 2 pi:
-    #   int exp(-|y|^2)/|y| dy = 4 pi int_0^inf r exp(-r^2) dr = 2 pi
-    #   int_{|y|<=1} dy/|y|    = 4 pi int_0^1 r dr            = 2 pi
-    g = make_grid(3, 4.5, 128)
-    assert kato_norm(pot, g) == pytest.approx(2 * math.pi, rel=0.02)
-
-
-def test_kato_norm_requires_three_dimensions():
-    with pytest.raises(ValueError):
-        kato_norm(gaussian_potential(1.0), make_grid(1, 6.0, 64))
-
-
-def test_hardy_inequality_on_vanishing_data():
-    g = make_grid(3, 8.0, 64)
-    f = field_from_function(g, lambda x, y, z: (x**2 + y**2 + z**2)
-                            * np.exp(-(x**2 + y**2 + z**2)))
-    lhs, rhs = hardy_check(f)
-    assert 0 < lhs <= rhs
-
-
-def test_repulsive_report_sign_detection():
+    # repulsive potentials read exactly 0, the value at the origin
     g = make_grid(1, 8.0, 256)
-    good = check_repulsive(gaussian_potential(0.5), g, battery_size=8)
-    assert good.passes
-    assert good.min_virial == pytest.approx(0.0, abs=1e-12)
-    assert set(good.bound_constants) == {0, 1, 2}
-    assert all(v > 0 and np.isfinite(v) for v in good.bound_constants.values())
-    bad = check_repulsive(gaussian_potential(-0.5), g, battery_size=8)
-    assert not bad.passes
-
-
-def test_scale_hamiltonian_fixed_points_and_potential_rule():
-    g = make_grid(1, 8.0, 64)
-    free = HamiltonianSpec.free(g)
-    assert scale_hamiltonian(free, 3.0) is free
-    spec = HamiltonianSpec.with_potential(g, gaussian_potential(1.0))
-    scaled = scale_hamiltonian(spec, 2.0)
-    x = np.array([0.3, 1.1])
-    np.testing.assert_allclose(scaled.potential.fn(x),
-                               4.0 * np.exp(-(2 * x) ** 2))
-    with pytest.raises(ValueError):
-        scale_hamiltonian(spec, -1.0)
+    for pot in (gaussian_potential(0.5), ball_potential(1.0, 1.0)):
+        assert virial(g, pot) == 0.0
+    assert virial(make_grid(2, 4.0, 64), gaussian_potential(0.5)) == 0.0
+    # attractive ones: -x.grad V = -2 a |x|^2 exp(-|x|^2) has its minimum
+    # 2a/e at |x| = 1; the ball's jump is one difference quotient, x / (2h)
+    assert virial(g, gaussian_potential(-0.5)) == pytest.approx(-1 / math.e, rel=2e-3)
+    assert virial(make_grid(2, 4.0, 64), gaussian_potential(-0.5)) < -0.36
+    assert virial(make_grid(1, 640.0, 2048), gaussian_potential(-0.25)) \
+        == pytest.approx(-0.1617, abs=1e-4)
+    assert virial(make_grid(1, 32.0, 1024), ball_potential(-1.0, 1.0)) == -8.5
+    # kinds without a potential have nothing to measure
+    assert min_virial(HamiltonianSpec.free(g)) == 0.0
 
 
 def test_dilation_generator_is_hermitian_with_symmetric_spectrum():
