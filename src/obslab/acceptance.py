@@ -163,9 +163,3 @@ def criterion_10(seed: int = DEFAULT_SEED,
 
 
 CRITERIA = (criterion_1, *_RUNNER_CRITERIA, criterion_10)
-
-
-def run_battery(seed: int = DEFAULT_SEED,
-                scratch_dir: str | None = None) -> list[CriterionResult]:
-    return [fn(seed, scratch_dir=scratch_dir) if fn is criterion_10
-            else fn(seed) for fn in CRITERIA]

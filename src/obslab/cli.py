@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -140,7 +141,6 @@ _PARAM_SCHEMAS = {
             "sigma": {"type": "number", "exclusiveMinimum": 0},
             "t1": {"type": "number", "exclusiveMinimum": 0},
             "gaps": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 2},
-            "min_time_factor": {"type": "number", "exclusiveMinimum": 0},
         },
         "required": ["packet", "radius", "sigma", "t1", "gaps"],
         "additionalProperties": False,
@@ -277,7 +277,6 @@ DEFAULTS = {
             "sigma": 1.0,
             "t1": 0.25,
             "gaps": [10.0, 20.0, 40.0],
-            "min_time_factor": 10.0,
         },
     },
     "sharpness": {
@@ -596,19 +595,18 @@ def _run_uncertainty(cfg):
     grid = _grid_from(cfg)
     spec = _hamiltonian_from(cfg, grid)
     p = cfg["parameters"]
-    seed = cfg["seed"]
 
     scan = uncertainty_scan(spec, p["radii"], p["thresholds"])
     single = p["single"]
-    power = uncertainty_norm(spec, single["radius"], single["threshold"],
-                             seed=seed)
+    power = uncertainty_norm(spec, single["radius"], single["threshold"])
     dense = uncertainty_norm_dense(spec, single["radius"], single["threshold"])
 
     tol = p["collapse_tolerance"]
     verdicts = [
         _verdict("power_vs_dense", abs(power.norm - dense.norm), 1e-6, "<=",
-                 "matrix-free power iteration reproduces the dense singular "
-                 "value of the ball-times-band projector product"),
+                 "matrix-free Lanczos on the Gram operator reproduces the "
+                 "dense singular value of the ball-times-band projector "
+                 "product"),
         _verdict("norm_below_one", dense.norm, 1.0, "<",
                  "no state concentrates fully in both a ball and a bounded "
                  "energy band"),
@@ -728,7 +726,7 @@ def _run_enss(cfg):
         "r_squared": [s.fit.r_squared for s in res.series],
         "bound_constants": res.bound_constants,
         "constant_ratio": res.constant_ratio,
-        "max_series_slope": res.max_series.fit.slope if res.max_series else None,
+        "max_series_slope": res.max_series.fit.slope,
         "witness_defect": [s.cross_check for s in res.series],
     }
     import numpy as np
@@ -742,12 +740,11 @@ def _run_enss(cfg):
             vv.append(float(v))
             ff.append(float(fv))
     series = [("decay.csv", {"a": aa, "t": tt, "value": vv, "fitted_value": ff})]
-    if res.max_series is not None:
-        s = res.max_series
-        fitted = np.exp(s.fit.intercept) * np.asarray(s.times) ** s.fit.slope
-        series.append(("max_decay.csv", {"t": list(s.times),
-                                         "value": list(s.values),
-                                         "fitted_value": list(fitted)}))
+    s = res.max_series
+    fitted = np.exp(s.fit.intercept) * np.asarray(s.times) ** s.fit.slope
+    series.append(("max_decay.csv", {"t": list(s.times),
+                                     "value": list(s.values),
+                                     "fitted_value": list(fitted)}))
     return results, verdicts, series, []
 
 
@@ -759,12 +756,11 @@ def _run_observability(cfg):
     plan = _plan_from(cfg, spec)
     p = cfg["parameters"]
     u0 = _packet_field(grid, p["packet"])
-    mtf = p.get("min_time_factor", 10.0)
 
     runs = []
     for gap in p["gaps"]:
         runs.append(observability_ratio(plan, u0, p["radius"], p["t1"],
-                                        p["t1"] + gap, p["sigma"], mtf))
+                                        p["t1"] + gap, p["sigma"]))
     ratios = [r.ratio for r in runs]
     finite = all(math.isfinite(r) and r > 0 for r in ratios)
     nonincreasing = all(a >= b for a, b in zip(ratios, ratios[1:]))
@@ -791,7 +787,6 @@ def _run_observability(cfg):
         "exterior_first": [r.exterior_first for r in runs],
         "exterior_second": [r.exterior_second for r in runs],
         "second_radii": [r.second_radius for r in runs],
-        "window_ok": [r.window_ok for r in runs],
         "reduction_deviations": [r.reduction_deviation for r in runs],
         "wrap_masses": [r.wrap_mass for r in runs],
         "engine_cross_checks": [r.cross_check for r in runs],
@@ -802,7 +797,6 @@ def _run_observability(cfg):
         "exterior_first": [r.exterior_first for r in runs],
         "exterior_second": [r.exterior_second for r in runs],
         "second_radius": [r.second_radius for r in runs],
-        "window_ok": [bool(r.window_ok) for r in runs],
     })]
     return results, verdicts, series, []
 
@@ -1024,11 +1018,10 @@ def _run_commutator(cfg):
     return results, verdicts, series, []
 
 
-def _run_suite(cfg, out_dir):
-    from .acceptance import run_battery
+def _run_suite(cfg):
+    from .acceptance import CRITERIA
 
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    criteria = run_battery(cfg["seed"], scratch_dir=out_dir)
+    criteria = [criterion(cfg["seed"]) for criterion in CRITERIA]
     verdicts = [
         _verdict(f"criterion_{c.number}", c.passed, True, "==",
                  c.name, passed=c.passed)
@@ -1049,15 +1042,49 @@ _RUNNERS = {
     "sharpness": _run_sharpness,
     "control": _run_control,
     "commutator": _run_commutator,
+    "suite": _run_suite,
 }
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
+def _emit(out: Path, report: dict, elapsed: float, series, fields) -> None:
+    """Write every output into a temporary directory beside out, then move it
+    into place: the whole directory when out is new, else file by file."""
+    report_bytes = (json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n").encode()
+    meta = {
+        "wall_clock_seconds": elapsed,
+        "report_sha256": hashlib.sha256(report_bytes).hexdigest(),
+    }
+    # mkdir, unlike mkdtemp, gives the directory the permissions umask allows
+    stage = out.parent / f".{out.name}.{os.getpid()}.{time.monotonic_ns()}"
+    stage.mkdir(parents=True)
+    try:
+        (stage / "report.json").write_bytes(report_bytes)
+        with open(stage / "run_meta.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for name, columns in series:
+            emit_series(stage / name, columns)
+        for name, field in fields:
+            emit_field(stage / name, field)
+        if out.exists():
+            for item in stage.iterdir():
+                os.replace(item, out / item.name)
+        else:
+            os.rename(stage, out)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def run(experiment: str, config_path: str | None, out_dir: str,
         engine: str | None = None, seed: int | None = None) -> int:
-    """Execute one experiment end to end; returns the process exit code."""
+    """Execute one experiment end to end; returns the process exit code.
+
+    Outputs are all or nothing: an error (exit 1) leaves out_dir as it was.
+    """
     try:
         cfg = load_config(experiment, config_path)
     except Exception as err:  # schema violation or unreadable config: no outputs
@@ -1071,10 +1098,7 @@ def run(experiment: str, config_path: str | None, out_dir: str,
 
     started = time.time()
     try:
-        if experiment == "suite":
-            results, verdicts, series, fields = _run_suite(cfg, out_dir)
-        else:
-            results, verdicts, series, fields = _RUNNERS[experiment](cfg)
+        results, verdicts, series, fields = _RUNNERS[experiment](cfg)
     except Exception as err:
         print(f"error: {experiment} run failed: {err}", file=sys.stderr)
         return 1
@@ -1090,23 +1114,12 @@ def run(experiment: str, config_path: str | None, out_dir: str,
         "verdicts": _plain(verdicts),
         "pass": all(v["pass"] for v in verdicts),
     }
-
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_bytes = (json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-                    + "\n").encode()
-    (out / "report.json").write_bytes(report_bytes)
-    meta = {
-        "wall_clock_seconds": elapsed,
-        "report_sha256": hashlib.sha256(report_bytes).hexdigest(),
-    }
-    with open(out / "run_meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, columns in series:
-        emit_series(out / name, columns)
-    for name, field in fields:
-        emit_field(out / name, field)
+    try:
+        _emit(out, report, elapsed, series, fields)
+    except Exception as err:
+        print(f"error: {experiment} outputs not written: {err}", file=sys.stderr)
+        return 1
 
     for v in report["verdicts"]:
         status = "PASS" if v["pass"] else "FAIL"

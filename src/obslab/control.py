@@ -27,7 +27,7 @@ import numpy as np
 
 from .estimate import POWER_SEED
 from .grid import Field, RegionMask, inner, l2_norm
-from .hamiltonian import HamiltonianSpec
+from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
 from .propagate import PropagatorPlan, evolve, evolve_backward
 
 
@@ -211,7 +211,7 @@ def verify_control(plan: PropagatorPlan, problem: ControlProblem,
     """Re-simulate the kicked flow, on an independent engine when affordable."""
     spec = problem.hamiltonian
     engine = plan.engine
-    if spec.grid.dofs <= 4096 and plan.engine != "dense":
+    if spec.grid.dofs <= DENSE_LIMIT and plan.engine != "dense":
         engine = "dense"
     elif spec.is_multiplier and plan.engine != "multiplier":
         engine = "multiplier"

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 POWER_SEED = 0x5EED
-POWER_TOL = 1e-6
-POWER_MAX_ITER = 500
 LANCZOS_TOL = 1e-13
 LANCZOS_MAX_ITER = 300
 
@@ -26,30 +24,6 @@ def probe_vector(n: int, seed: int = POWER_SEED) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
-
-
-def gram_operator_norm(apply_gram, n: int, tol: float = POWER_TOL,
-                       max_iter: int = POWER_MAX_ITER,
-                       seed: int = POWER_SEED) -> PowerResult:
-    """Power iteration on a Hermitian PSD Gram operator K*K; returns ||K||.
-
-    The Rayleigh quotient gives the eigenvalue estimate, so the singular value
-    is accurate to roughly the square of the reported residual.
-    """
-    v = probe_vector(n, seed)
-    lam = 0.0
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        w = apply_gram(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return PowerResult(0.0, it, 0.0, True)
-        lam = float(np.vdot(v, w).real)
-        residual = float(np.linalg.norm(w - lam * v) / max(lam, 1e-300))
-        v = w / nw
-        if residual <= tol:
-            return PowerResult(float(np.sqrt(max(lam, 0.0))), it, residual, True)
-    return PowerResult(float(np.sqrt(max(lam, 0.0))), max_iter, residual, False)
 
 
 def hermitian_operator_norm(apply, n: int, tol: float = LANCZOS_TOL,
@@ -95,6 +69,16 @@ def hermitian_operator_norm(apply, n: int, tol: float = LANCZOS_TOL,
             betas[j] = beta
             basis[j + 1] = w / beta
     return PowerResult(theta, steps, residual, False)
+
+
+def gram_operator_norm(apply_gram, n: int) -> PowerResult:
+    """||K|| from the Hermitian PSD Gram operator K*K: the square root of its
+    largest eigenvalue by hermitian_operator_norm.
+
+    iterations, residual and converged are those of the Lanczos run on K*K.
+    """
+    r = hermitian_operator_norm(apply_gram, n)
+    return PowerResult(math.sqrt(r.value), r.iterations, r.residual, r.converged)
 
 
 @dataclass

@@ -15,6 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 DOF_BUDGET = 1 << 22
+SHELL_FRACTION = 0.95        # the wrap monitor's shell starts at this * L
+SUPPORT_THRESHOLD = 1e-12    # support_radius counts |f| above this * max|f|
 
 
 class UnderResolvedError(ValueError):
@@ -55,11 +57,10 @@ class GridSpec:
         return self.spacing**self.dim
 
 
-def make_grid(dim: int, half_extent: float, points_per_axis: int,
-              budget: int = DOF_BUDGET) -> GridSpec:
+def make_grid(dim: int, half_extent: float, points_per_axis: int) -> GridSpec:
     spec = GridSpec(dim, half_extent, points_per_axis)
-    if spec.dofs > budget:
-        raise ValueError(f"grid has {spec.dofs} dofs, budget is {budget}")
+    if spec.dofs > DOF_BUDGET:
+        raise ValueError(f"grid has {spec.dofs} dofs, budget is {DOF_BUDGET}")
     return spec
 
 
@@ -199,18 +200,18 @@ def mass_in_region(field: Field, mask: RegionMask) -> float:
     return float(field.grid.cell_volume * np.sum(ind * (v.real**2 + v.imag**2)))
 
 
-def boundary_shell_mass(field: Field, fraction: float = 0.95) -> float:
-    """Mass in |x| >= fraction * L; the wrap-around monitor reads this."""
-    return mass_in_region(field, RegionMask.exterior(fraction * field.grid.half_extent))
+def boundary_shell_mass(field: Field) -> float:
+    """Mass in |x| > SHELL_FRACTION * L; the wrap-around monitor reads this."""
+    return mass_in_region(field, RegionMask.exterior(SHELL_FRACTION * field.grid.half_extent))
 
 
-def support_radius(field: Field, rel_threshold: float = 1e-12) -> float:
-    """Largest |x| where |f| exceeds rel_threshold * max|f|; 0 for the zero field."""
+def support_radius(field: Field) -> float:
+    """Largest |x| where |f| exceeds SUPPORT_THRESHOLD * max|f|; 0 for the zero field."""
     mag = np.abs(field.values)
     peak = mag.max()
     if peak == 0.0:
         return 0.0
-    supported = mag > rel_threshold * peak
+    supported = mag > SUPPORT_THRESHOLD * peak
     if not supported.any():
         return 0.0
     return float(np.sqrt(radius_squared(field.grid)[supported].max()))

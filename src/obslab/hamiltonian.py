@@ -24,6 +24,9 @@ from .grid import (Field, GridSpec, axis_coordinates, axis_frequencies,
 
 CONVENTIONS = ("full", "half")
 
+# largest grid, in dofs, that any dense n x n matrix is built for
+DENSE_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -191,8 +194,8 @@ def _dense_momentum(grid: GridSpec) -> np.ndarray:
 def dilation_generator(grid: GridSpec) -> DilationMatrix:
     if grid.dim != 1:
         raise ValueError("dilation generator is built dense on 1-D grids only")
-    if grid.dofs > 4096:
-        raise ValueError("dense dilation generator capped at 4096 points")
+    if grid.dofs > DENSE_LIMIT:
+        raise ValueError(f"dense dilation generator capped at {DENSE_LIMIT} points")
     x = axis_coordinates(grid)
     p = _dense_momentum(grid)
     xp = x[:, None] * p
@@ -203,7 +206,7 @@ def dilation_generator(grid: GridSpec) -> DilationMatrix:
 
 
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Assemble H as a dense real symmetric float64 matrix (dofs <= 4096).
+    """Assemble H as a dense real symmetric float64 matrix (dofs <= DENSE_LIMIT).
 
     The kinetic part is the periodic convolution H[x, y] = k[(x - y) mod shape]
     by the kernel k = ifftn(symbol).  Every symbol here is real and even on
@@ -213,8 +216,8 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     """
     g = spec.grid
     n = g.dofs
-    if n > 4096:
-        raise ValueError(f"dense assembly capped at 4096 dofs, grid has {n}")
+    if n > DENSE_LIMIT:
+        raise ValueError(f"dense assembly capped at {DENSE_LIMIT} dofs, grid has {n}")
     kernel = np.fft.ifftn(kinetic_symbol(spec))
     if np.abs(kernel.imag).max() > 1e-12 * np.abs(kernel).max():
         raise ValueError("kinetic kernel is not real: the symbol is not even")

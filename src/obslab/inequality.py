@@ -18,14 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import (POWER_MAX_ITER, POWER_SEED, POWER_TOL, LogLogFit,
-                       fit_or_nan, gram_operator_norm)
-from .grid import (Field, RegionMask, boundary_shell_mass, freq_radius_squared,
-                   l2_norm, mass_in_region, radius_squared)
-from .hamiltonian import HamiltonianSpec, kinetic_symbol
+from .estimate import LogLogFit, fit_or_nan, gram_operator_norm
+from .grid import (Field, RegionMask, axis_coordinates, boundary_shell_mass,
+                   concentrate, freq_radius_squared, l2_norm, mass_in_region,
+                   radius_squared)
+from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
 from .propagate import PropagatorPlan, evolve, evolve_series, engine_cross_check
-from .spectral import (Interval, calculus, decompose_dilation,
-                       decompose_hamiltonian, smooth_step)
+from .spectral import (Interval, calculus, decompose_dilation, project_energy,
+                       smooth_step)
+
+MASS_FIT_FLOOR = 1e-26    # interior masses at or below it are rounding dust
+LOCALIZATION_TOL = 1e-8   # psi lies in a window within this of chi_window(H) psi
 
 
 def group_velocity_floor(spec: HamiltonianSpec, theta: float) -> float:
@@ -53,10 +56,10 @@ class UncertaintyResult:
     method: str
 
 
-def uncertainty_norm(spec: HamiltonianSpec, radius: float, threshold: float,
-                     tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER,
-                     seed: int = POWER_SEED) -> UncertaintyResult:
-    """||chi(|x| <= radius) chi(H <= threshold)|| by power iteration."""
+def uncertainty_norm(spec: HamiltonianSpec, radius: float,
+                     threshold: float) -> UncertaintyResult:
+    """||chi(|x| <= radius) chi(H <= threshold)|| by Lanczos on the Gram
+    operator P chi P, P the spectral projector."""
     window = Interval(-math.inf, threshold, include_hi=True)
     calc = calculus(spec)
     if not window.contains(calc.spectrum).any():
@@ -68,42 +71,26 @@ def uncertainty_norm(spec: HamiltonianSpec, radius: float, threshold: float,
         w = np.where(inside, proj(v).ravel(), 0.0)
         return proj(w).ravel()
 
-    r = gram_operator_norm(gram, spec.grid.dofs, tol=tol, max_iter=max_iter, seed=seed)
+    r = gram_operator_norm(gram, spec.grid.dofs)
     return UncertaintyResult(radius, threshold, r.value, r.iterations,
-                             r.residual, r.converged, "power")
+                             r.residual, r.converged, "lanczos")
 
 
 def uncertainty_norm_dense(spec: HamiltonianSpec, radius: float,
                            threshold: float) -> UncertaintyResult:
-    """SVD oracle for the same norm; needs the spectral window explicitly.
+    """SVD oracle for the same norm: the top singular value of the window's
+    eigenvectors restricted to the ball.
 
-    For multiplier kinds the band eigenvectors are discrete Fourier modes, so
-    the masked thin matrix is assembled directly and works at any grid size.
+    The eigenvectors are calculus(spec).columns: Fourier modes at any grid
+    size for multiplier kinds, the dense eigenbasis (DENSE_LIMIT) otherwise.
     """
-    g = spec.grid
     window = Interval(-math.inf, threshold, include_hi=True)
-    inside = (radius_squared(g) <= radius**2).ravel()
-    if spec.is_multiplier:
-        mask = window.contains(kinetic_symbol(spec))
-        modes = np.nonzero(mask.ravel())[0]
-        if modes.size == 0:
-            return UncertaintyResult(radius, threshold, 0.0, 0, 0.0, True, "empty")
-        n = g.dofs
-        cols = np.zeros((n, modes.size), dtype=complex)
-        unit = np.zeros(g.shape, dtype=complex)
-        for j, m in enumerate(modes):
-            unit.ravel()[m] = 1.0
-            cols[:, j] = np.fft.ifftn(unit, norm="ortho").ravel()
-            unit.ravel()[m] = 0.0
-        thin = cols * inside[:, None]
-    else:
-        if g.dofs > 4096:
-            raise ValueError("dense oracle capped at 4096 dofs")
-        eig = decompose_hamiltonian(spec)
-        idx = eig.projector_indices(window)
-        if idx.size == 0:
-            return UncertaintyResult(radius, threshold, 0.0, 0, 0.0, True, "empty")
-        thin = eig.vectors[:, idx] * inside[:, None]
+    calc = calculus(spec)
+    mask = window.contains(calc.spectrum)
+    if not mask.any():
+        return UncertaintyResult(radius, threshold, 0.0, 0, 0.0, True, "empty")
+    inside = (radius_squared(spec.grid) <= radius**2).ravel()
+    thin = calc.columns(mask)[inside]
     top = float(np.linalg.svd(thin, compute_uv=False)[0])
     return UncertaintyResult(radius, threshold, top, 0, 0.0, True, "svd")
 
@@ -123,7 +110,7 @@ def uncertainty_scan(spec: HamiltonianSpec, radii, thresholds) -> UncertaintySca
     """Scan the norm over a grid of (R, delta) with the SVD oracle; check
     monotonicity and the scaling collapse along the invariant R * delta^{1/p}.
 
-    Non-multiplier kinds need the dense eigenbasis (at most 4096 dofs).
+    Non-multiplier kinds need the dense eigenbasis (at most DENSE_LIMIT dofs).
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     thresholds = np.sort(np.asarray(thresholds, dtype=float))
@@ -176,19 +163,26 @@ def frequency_band_state(spec: HamiltonianSpec, xi_lo: float, xi_hi: float,
     return Field(spec.grid, v / nrm)
 
 
+def _window_defect(spec: HamiltonianSpec, window: Interval, psi: Field) -> float:
+    """Relative distance of psi from chi_window(H) psi."""
+    proj = project_energy(spec, window, psi).values
+    return float(np.linalg.norm(proj - psi.values)
+                 / max(np.linalg.norm(psi.values), 1e-300))
+
+
 def window_localized_state(spec: HamiltonianSpec, window: Interval,
                            xi_lo: float, xi_hi: float, xi_ramp: float,
                            energy_ramp: float = 0.4) -> Field:
     """Unit state exactly localized to the given energy window.
 
-    Starts from a frequency band state.  For multiplier kinds that is already
-    exact provided the band maps inside the window.  Otherwise the state is
-    passed through a smooth energy profile supported strictly inside the
-    window, built in the dense eigenbasis; wide ramps (energy_ramp) keep the
-    profile's spatial kernel tails negligible, which a sharp cut would not.
+    Starts from a frequency band state, which is returned as it is when it
+    already lies in the window (a multiplier H whose band maps inside it).
+    Otherwise the state is passed through a smooth energy profile supported
+    strictly inside the window; wide ramps (energy_ramp) keep the profile's
+    spatial kernel tails negligible, which a sharp cut would not.
     """
     psi = frequency_band_state(spec, xi_lo, xi_hi, xi_ramp)
-    if spec.is_multiplier:
+    if _window_defect(spec, window, psi) <= LOCALIZATION_TOL:
         return psi
     if window.hi - window.lo <= 2 * energy_ramp:
         raise ValueError("energy_ramp too wide for the window")
@@ -216,9 +210,8 @@ class DecaySeries:
 
 
 def minimal_velocity_decay(plan: PropagatorPlan, psi: Field, v: float, times,
-                           energy_window: tuple[float, float] | None = None,
-                           fit_floor: float = 1e-26,
-                           head_fraction: float = 0.2) -> DecaySeries:
+                           energy_window: tuple[float, float] | None = None
+                           ) -> DecaySeries:
     """Interior mass || chi(|x| < v t) e^{-itH} psi ||^2 against time.
 
     psi should already be energy localized; when energy_window is given the
@@ -227,10 +220,8 @@ def minimal_velocity_decay(plan: PropagatorPlan, psi: Field, v: float, times,
     """
     spec = plan.hamiltonian
     if energy_window is not None:
-        from .spectral import project_energy
-        proj = project_energy(spec, Interval(*energy_window, include_hi=True), psi)
-        defect = np.linalg.norm(proj.values - psi.values) / max(np.linalg.norm(psi.values), 1e-300)
-        if defect > 1e-8:
+        defect = _window_defect(spec, Interval(*energy_window, include_hi=True), psi)
+        if defect > LOCALIZATION_TOL:
             raise ValueError(f"psi is not localized in the energy window (defect {defect:.2e})")
     used, snaps = evolve_series(plan, psi, times)
     r2 = radius_squared(spec.grid)
@@ -242,7 +233,7 @@ def minimal_velocity_decay(plan: PropagatorPlan, psi: Field, v: float, times,
         vals = u.values
         masses[i] = float(cell * np.sum(strict_inside * (vals.real**2 + vals.imag**2)))
         wrap = max(wrap, boundary_shell_mass(u))
-    fit = fit_or_nan(used, masses, head_fraction=head_fraction, floor=fit_floor)
+    fit = fit_or_nan(used, masses, floor=MASS_FIT_FLOOR)
     xc = engine_cross_check(plan, psi, float(used[len(used) // 2]))
     return DecaySeries(used, masses, fit, v, "interior_mass", wrap, xc)
 
@@ -270,7 +261,7 @@ class EnssResult:
     bound_constants: list               # sup_t ||T(t)|| t^{0.9} per a
     constant_ratio: float
     mourre_floor: float
-    max_series: DecaySeries | None = None   # pointwise max over a, fitted
+    max_series: DecaySeries               # pointwise max over a, fitted
 
 
 def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
@@ -308,10 +299,12 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
     Kahan).  Each norm is certified by a witness: the top right singular
     vector mapped back to the grid, x = Q_+ z, is sent through the operator
     itself; each series' cross_check is its largest | ||Kx|| - sigma | / sigma.
+
+    H enters only through calculus(spec) (spectrum, columns V_H, the chain's
+    f(H) leg), so a multiplier H is never diagonalized; A is, densely.
     """
-    from .grid import axis_coordinates
     g = spec.grid
-    if g.dim != 1 or g.dofs > 4096:
+    if g.dim != 1 or g.dofs > DENSE_LIMIT:
         raise ValueError("outgoing decay needs a dense-capable 1-D grid")
     lo, hi = window
     if not 0 < 2 * ramp < hi - lo:
@@ -321,11 +314,11 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
     if not 0 < v < v_cap:
         raise ValueError(f"v must lie in (0, {v_cap:.3f}) for this window")
     eig_a = decompose_dilation(g)
-    heig = decompose_hamiltonian(spec)   # dense even for multiplier kinds
-    lam = heig.eigenvalues
+    calc = calculus(spec)
+    lam = calc.spectrum
     box = smooth_step((lam - lo) / ramp) * smooth_step((hi - lam) / ramp)
-    keep = np.nonzero(box)[0]
-    if keep.size == 0:
+    keep = box > 0
+    if not keep.any():
         raise ValueError("the energy window holds no eigenvalue of H")
     r0 = interior_fraction * g.half_extent
     xw = np.abs(axis_coordinates(g))
@@ -336,13 +329,14 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
     def chain(x, first, middle, last):
         """W chi_last(A) f_middle(H) chi_first(A) W x, each factor as weights."""
         z = eig_a.apply(first, w_spatial * x)
-        z = heig.apply(middle, z)
+        z = calc.apply(middle, z)
         return w_spatial * eig_a.apply(last, z)
 
     rows = np.nonzero(w_spatial > 0)[0]
     frame = eig_a.vectors[rows]
     frame *= w_spatial[rows, None]
-    coupling = (eig_a.vectors.T @ heig.vectors[:, keep]).conj()   # V_A^H V_H, V_H real
+    # V_A^H V_H without a conjugated n x n copy of V_A
+    coupling = (eig_a.vectors.T @ calc.columns(keep).conj()).conj()
 
     results = []
     constants = []
@@ -391,7 +385,6 @@ class ObservabilityResult:
     exterior_first: float
     exterior_second: float
     ratio: float                      # C_obs = total / (sum of observed masses)
-    window_ok: bool
     reduction_deviation: float
     wrap_mass: float
     cross_check: float | None = None
@@ -399,21 +392,18 @@ class ObservabilityResult:
 
 def observability_ratio(plan: PropagatorPlan, u0: Field, radius: float,
                         t1: float, t2: float, sigma: float,
-                        min_time_factor: float = 10.0,
                         _reduce: bool = True) -> ObservabilityResult:
     """Observability constant for exterior observations at two times.
 
     The first observation reads mass outside |x| <= radius at t1; the second
     reads mass outside radius sigma (t2 - t1) / radius^{p-1} at t2, where p is
-    the scaling exponent of H.  The window is admissible when
-    t2 - t1 > radius^p * min_time_factor.
+    the scaling exponent of H.
     """
     if not t2 > t1 >= 0:
         raise ValueError("need t2 > t1 >= 0")
     spec = plan.hamiltonian
     p = spec.s
     gap = t2 - t1
-    window_ok = gap > radius**p * min_time_factor
     r2 = sigma * gap / radius ** (p - 1.0)
     used, snaps = evolve_series(plan, u0, [t1, t2])
     ext1 = mass_in_region(snaps[0], RegionMask.exterior(radius))
@@ -425,12 +415,11 @@ def observability_ratio(plan: PropagatorPlan, u0: Field, radius: float,
     reduction_dev = 0.0
     if _reduce and t1 > 0:
         shifted = observability_ratio(plan, snaps[0], radius, 0.0, gap, sigma,
-                                      min_time_factor, _reduce=False)
+                                      _reduce=False)
         reduction_dev = abs(shifted.ratio - ratio) / max(abs(ratio), 1e-300)
     xc = engine_cross_check(plan, u0, t2)
     return ObservabilityResult(radius, float(used[0]), float(used[1]), sigma, r2,
-                               total, ext1, ext2, ratio, window_ok,
-                               reduction_dev, wrap, xc)
+                               total, ext1, ext2, ratio, reduction_dev, wrap, xc)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +440,6 @@ def sharpness_sequence(plan: PropagatorPlan, f: Field, ks, r1: float,
                        sigma: float, t: float) -> SharpnessTable:
     """Concentrating family f_k = U_k f: exterior mass at r1 and evolved
     interior mass inside sigma t, both of which should shrink with k."""
-    from .grid import concentrate
     exterior = []
     interior = []
     wrap = 0.0

@@ -3,7 +3,7 @@
 multiplier   exact phases in the Fourier calculus; multiplier kinds only
 splitstep    Strang splitting exp(-iV dt/2) exp(-iT dt) exp(-iV dt/2);
              global error O(dt^2), exactly norm preserving
-dense        exact phases in the dense eigenbasis calculus; dofs <= 4096
+dense        exact phases in the dense eigenbasis calculus; dofs <= DENSE_LIMIT
 
 The multiplier and dense engines are the two implementations of
 spectral.calculus; splitstep is not a function of H and marches on its own.
@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, GridSpec, radius_squared
-from .hamiltonian import HamiltonianSpec, kinetic_symbol, potential_on_grid
+from .hamiltonian import (DENSE_LIMIT, HamiltonianSpec, kinetic_symbol,
+                          potential_on_grid)
 from .spectral import calculus, decompose_hamiltonian
 
 ENGINES = ("multiplier", "splitstep", "dense")
@@ -40,8 +41,8 @@ class PropagatorPlan:
         h = self.hamiltonian
         if self.engine == "multiplier" and not h.is_multiplier:
             raise ValueError("multiplier engine needs a multiplier Hamiltonian")
-        if self.engine == "dense" and h.grid.dofs > 4096:
-            raise ValueError("dense engine capped at 4096 dofs")
+        if self.engine == "dense" and h.grid.dofs > DENSE_LIMIT:
+            raise ValueError(f"dense engine capped at {DENSE_LIMIT} dofs")
         if self.engine == "splitstep" and not self.dt > 0:
             raise ValueError("splitstep needs dt > 0")
 
@@ -159,7 +160,8 @@ def engine_cross_check(plan: PropagatorPlan, field: Field, t: float) -> float | 
     below the dense budget; experiments record the value in their reports.
     """
     spec = plan.hamiltonian
-    if plan.engine == "dense" or spec.grid.dofs >= 4096:
+    # strict: the 4096-point canned observability and minimal-velocity runs skip a 4096^2 eigh
+    if plan.engine == "dense" or spec.grid.dofs >= DENSE_LIMIT:
         return None
     here = evolve(plan, field, t)
     ref = evolve(PropagatorPlan(spec, "dense"), field, t)

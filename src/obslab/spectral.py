@@ -2,7 +2,7 @@
 
 calculus(spec) is the one place that decides how H is diagonalized:
 multiplier Hamiltonians on the frequency lattice (FFT), potential kinds
-through a dense eigendecomposition (capped at 4096 dofs).  Either way f(H)
+through a dense eigendecomposition (capped at DENSE_LIMIT dofs).  Either way f(H)
 is applied as weights f(spectrum) on the spectral coefficients.
 
 Every smooth cutoff in the package is built from smooth_step, a C-infinity
@@ -65,7 +65,9 @@ class Interval:
 
 class _Calculus:
     """f(H) = backward(f(spectrum) * forward(values)); subclasses supply
-    spectrum, forward (values -> coefficients) and backward (-> grid shape)."""
+    spectrum, forward (values -> coefficients), backward (-> grid shape) and
+    columns (the eigenvectors selected by a mask over spectrum, as an n x k
+    orthonormal matrix whose columns follow the flat order of spectrum)."""
 
     def apply(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
         """f(H) values for weights = f(spectrum); returns grid-shaped values."""
@@ -89,6 +91,15 @@ class FourierCalculus(_Calculus):
 
     def backward(self, coeff: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(coeff)
+
+    def columns(self, mask: np.ndarray) -> np.ndarray:
+        """The selected unit modes through one batched norm="ortho" inverse
+        DFT over the grid axes."""
+        g, modes = self.grid, np.flatnonzero(mask)
+        unit = np.zeros((modes.size,) + g.shape, dtype=complex)
+        unit.reshape(modes.size, g.dofs)[np.arange(modes.size), modes] = 1.0
+        cols = np.fft.ifftn(unit, axes=tuple(range(1, g.dim + 1)), norm="ortho")
+        return cols.reshape(modes.size, g.dofs).T
 
 
 def _dot(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -126,6 +137,9 @@ class EigenDecomposition(_Calculus):
 
     def backward(self, coeff: np.ndarray) -> np.ndarray:
         return _dot(self.vectors, coeff).reshape(self.grid.shape)
+
+    def columns(self, mask: np.ndarray) -> np.ndarray:
+        return self.vectors[:, mask]
 
     def residual(self, matrix: np.ndarray) -> float:
         r = matrix @ self.vectors - self.vectors * self.eigenvalues[None, :]

@@ -2,8 +2,11 @@
 
 import filecmp
 import hashlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -125,6 +128,23 @@ def test_hamiltonian_keys_the_run_would_ignore_are_rejected(tmp_path, capsys):
         assert cfg["hamiltonian"] == {"convention": "full", **hamiltonian}
 
 
+def test_benchmark_overlays_resolve():
+    # a config-surface change that would make the benchmark's calls exit 1
+    # fails here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name, jobs_for in workloads.WORKLOADS.items():
+        for seed in range(3):
+            jobs = jobs_for(seed)
+            assert jobs, name
+            for experiment, overlay in jobs:
+                assert cli.resolve_config(experiment, overlay)["experiment"] \
+                    == experiment
+
+
 def test_acceptance_overlays_resolve():
     # schema drift in a pinned acceptance case fails here, without a run
     criteria = acceptance.CRITERIA[1:-1]
@@ -211,6 +231,25 @@ def test_enss_runner_gates_on_the_norm_witness():
     assert witness["pass"] is True and witness["threshold"] == 1e-8
     assert witness["measured"] == max(results["witness_defect"])
     assert len(results["witness_defect"]) == 1
+
+
+def test_enss_never_diagonalizes_a_multiplier_hamiltonian(tmp_path, monkeypatch):
+    # a free H reaches enss_decay only through its Fourier calculus: with
+    # the dense eigensolve and assembly planted to raise, the run still passes
+    from obslab import hamiltonian, spectral
+
+    def planted(*args, **kwargs):
+        raise AssertionError("a multiplier H was diagonalized")
+
+    for original in (spectral.decompose_hamiltonian, hamiltonian.dense_matrix):
+        for name, module in list(sys.modules.items()):
+            if name == "obslab" or name.startswith("obslab."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, planted)
+    path = write_config(tmp_path / "cfg.json", {
+        "grid": {"dim": 1, "half_extent": 256.0, "points_per_axis": 256}})
+    assert cli.run("enss", path, str(tmp_path / "out")) == 0
 
 
 def test_enss_threshold_above_the_dilation_spectrum_fails(tmp_path):
@@ -353,6 +392,39 @@ def test_runner_failure_writes_nothing(tmp_path, capsys):
     assert cli.run("minimal-velocity", path, str(out)) == 1
     assert not out.exists()
     assert "run failed" in capsys.readouterr().err
+
+
+def test_emission_failure_writes_nothing(tmp_path, monkeypatch, capsys):
+    # series columns of unequal length fail emission: exit 1, and no
+    # output directory appears, or an existing one keeps its old files
+    def planted(cfg):
+        return {}, [], [("bad.csv", {"a": [1.0], "b": []})], []
+
+    monkeypatch.setitem(cli._RUNNERS, "observability", planted)
+    out = tmp_path / "out"
+    assert cli.run("observability", None, str(out)) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+    out.mkdir()
+    (out / "report.json").write_text("old report")
+    assert cli.run("observability", None, str(out)) == 1
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    assert (out / "report.json").read_text() == "old report"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_rerun_replaces_outputs_in_an_existing_directory(tmp_path):
+    path = write_config(tmp_path / "cfg.json", SMALL_UNCERTAINTY)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_text("old report")
+    (out / "notes.txt").write_text("kept")
+    assert cli.run("uncertainty", path, str(out)) == 0
+    assert json.loads((out / "report.json").read_text())["pass"] is True
+    assert (out / "notes.txt").read_text() == "kept"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "notes.txt", "report.json", "run_meta.json", "scan.csv"]
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["out"]
 
 
 def test_non_finite_values_make_strict_json(tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
-"""Power iteration, Lanczos and log-log fitting against direct linear
-algebra."""
+"""Lanczos norms (directly and through the Gram operator) and log-log
+fitting against direct linear algebra."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ def test_power_iteration_matches_svd():
     rng = np.random.default_rng(42)
     k = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
     top = np.linalg.svd(k, compute_uv=False)[0]
-    res = gram_operator_norm(lambda v: k.conj().T @ (k @ v), 48, tol=1e-10)
+    res = gram_operator_norm(lambda v: k.conj().T @ (k @ v), 48)
     assert res.converged
     assert res.value == pytest.approx(top, rel=1e-8)
 
@@ -29,16 +29,6 @@ def test_power_iteration_matches_svd():
 def test_power_iteration_zero_operator_short_circuits():
     res = gram_operator_norm(lambda v: np.zeros_like(v), 32)
     assert res.value == 0.0 and res.converged and res.iterations == 1
-
-
-def test_power_iteration_reports_nonconvergence():
-    # two nearly equal top singular values stall the iteration
-    d = np.diag([1.0, 1.0 - 1e-12] + [0.1] * 14)
-    res = gram_operator_norm(lambda v: d @ (d @ v), 16, tol=1e-14, max_iter=10)
-    assert isinstance(res, PowerResult)
-    assert not res.converged
-    assert res.iterations == 10
-    assert res.value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_lanczos_matches_eigvalsh():

@@ -64,7 +64,7 @@ def test_velocity_floor_needs_positive_theta():
 def test_power_matches_dense_svd(free256):
     a = uncertainty_norm(free256, 1.0, 1.0)
     b = uncertainty_norm_dense(free256, 1.0, 1.0)
-    assert a.method == "power" and b.method == "svd"
+    assert a.method == "lanczos" and b.method == "svd"
     assert a.converged
     assert 0.0 < a.norm < 1.0
     assert abs(a.norm - b.norm) < 1e-6
@@ -193,7 +193,7 @@ def test_outgoing_norms_decay():
 
 
 def test_exact_outgoing_norms_match_power_iteration():
-    # the rank-k factorization against power iteration on the unfactored
+    # the rank-k factorization against the Lanczos Gram norm of the unfactored
     # chain W chi^-(A) e^{-itH} g(H) chi^+(A) W, one (a, t) at a time
     g = make_grid(1, 32.0, 256)
     spec = HamiltonianSpec(g, "free")
@@ -219,7 +219,7 @@ def test_exact_outgoing_norms_match_power_iteration():
             phase = np.exp(-1j * t * lam)
             gram = lambda x: chain(chain(x, plus, phase * box, minus),
                                    minus, np.conj(phase) * box, plus)
-            ref = gram_operator_norm(gram, g.dofs, tol=1e-10, max_iter=5000)
+            ref = gram_operator_norm(gram, g.dofs)
             assert ref.converged
             assert norm == pytest.approx(ref.value, rel=1e-8)
         assert ser.cross_check <= 1e-10
@@ -263,12 +263,10 @@ def test_observability_bookkeeping():
     plan = PropagatorPlan(spec, "multiplier")
     x = np.fft.fftshift(np.fft.fftfreq(512)) * 128.0
     u0 = normalized(g, np.exp(1.25j * x) * np.exp(-x**2 / 8.0))
-    res = observability_ratio(plan, u0, 1.0, 0.25, 10.25, 1.0,
-                              min_time_factor=5.0)
+    res = observability_ratio(plan, u0, 1.0, 0.25, 10.25, 1.0)
     assert res.total_mass == pytest.approx(1.0, abs=1e-10)
     assert math.isfinite(res.ratio) and res.ratio > 0.0
     assert res.second_radius == pytest.approx(10.0)   # sigma * gap / R^(p-1)
-    assert res.window_ok
     assert res.exterior_first <= res.total_mass + 1e-12
     assert res.reduction_deviation < 1e-8
     assert res.wrap_mass < 1e-4
@@ -281,8 +279,7 @@ def test_observability_fractional_radius_rule():
     plan = PropagatorPlan(spec, "multiplier")
     x = np.fft.fftshift(np.fft.fftfreq(512)) * 128.0
     u0 = normalized(g, np.exp(3.0j * x) * np.exp(-x**2 / 8.0))
-    res = observability_ratio(plan, u0, 1.0, 0.5, 10.5, 0.5,
-                              min_time_factor=5.0)
+    res = observability_ratio(plan, u0, 1.0, 0.5, 10.5, 0.5)
     # p = 1 makes the second radius sigma * gap, independent of R
     assert res.second_radius == pytest.approx(5.0)
     assert res.reduction_deviation < 1e-8
@@ -294,9 +291,7 @@ def test_observability_window_flag_and_ordering():
     plan = PropagatorPlan(spec, "multiplier")
     x = np.fft.fftshift(np.fft.fftfreq(512)) * 128.0
     u0 = normalized(g, np.exp(1.25j * x) * np.exp(-x**2 / 8.0))
-    res = observability_ratio(plan, u0, 1.0, 0.0, 10.0, 1.0,
-                              min_time_factor=1000.0)
-    assert not res.window_ok
+    res = observability_ratio(plan, u0, 1.0, 0.0, 10.0, 1.0)
     assert res.reduction_deviation == 0.0   # nothing to reduce at t1 = 0
     with pytest.raises(ValueError, match="t2 > t1"):
         observability_ratio(plan, u0, 1.0, 2.0, 2.0, 1.0)

@@ -108,6 +108,27 @@ def test_eigen_projector_subset_form_matches_mask():
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
+def test_columns_span_the_window_projector(dim, points):
+    # V_I V_I^H from columns(mask) is the projector chi_I(H), for the
+    # Fourier and the dense calculus alike
+    g = make_grid(dim, 4.0, points)
+    w = Interval(0.5, 6.0)
+    for spec in (HamiltonianSpec.free(g),
+                 HamiltonianSpec.with_potential(g, gaussian_potential(1.0))):
+        calc = calculus(spec)
+        mask = w.contains(calc.spectrum)
+        k = int(mask.sum())
+        cols = calc.columns(mask)
+        assert 0 < k < g.dofs and cols.shape == (g.dofs, k)
+        np.testing.assert_allclose(cols.conj().T @ cols, np.eye(k), atol=1e-12)
+        np.testing.assert_allclose(dense_matrix(spec) @ cols,
+                                   cols * calc.spectrum[mask], atol=1e-10)
+        project = calc.projector(w)
+        dense = np.stack([project(e).ravel() for e in np.eye(g.dofs)], axis=1)
+        np.testing.assert_allclose(cols @ cols.conj().T, dense, atol=1e-12)
+
+
 def test_dilation_projectors_split_the_identity():
     # chi^+/-(A - a) as enss_decay builds them: masks in the A eigenbasis
     g = make_grid(1, 8.0, 256)
