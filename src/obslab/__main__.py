@@ -1,0 +1,8 @@
+"""``python -m obslab``: the same entry point as the ``obslab`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -468,6 +470,14 @@ def test_acceptance_gates_on_runner_verdicts(monkeypatch):
 def test_main_version(capsys):
     assert cli.main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "obslab", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == __version__
 
 
 def test_main_without_subcommand(capsys):

@@ -14,8 +14,9 @@ from obslab.inequality import (enss_decay, factored_norm, frequency_band_state,
                                sharpness_sequence, uncertainty_norm,
                                uncertainty_norm_dense, uncertainty_scan,
                                window_localized_state)
+from obslab import spectral
 from obslab.propagate import PropagatorPlan
-from obslab.spectral import (Interval, decompose_dilation,
+from obslab.spectral import (Interval, calculus, decompose_dilation,
                              decompose_hamiltonian, project_energy,
                              smooth_step)
 
@@ -223,6 +224,82 @@ def test_exact_outgoing_norms_match_power_iteration():
             assert ref.converged
             assert norm == pytest.approx(ref.value, rel=1e-8)
         assert ser.cross_check <= 1e-10
+
+
+def _enss_per_pair(spec, a_values, v, times):
+    """The (a, t)-at-a-time route: a fresh prefix product F[:, minus] C[minus],
+    its own QR and SVD, and the witness through an unbatched chain."""
+    g = spec.grid
+    eig_a, calc = decompose_dilation(g), calculus(spec)
+    lam, alpha = calc.spectrum, eig_a.eigenvalues
+    box = smooth_step((lam - 1.0) / 0.25) * smooth_step((2.0 - lam) / 0.25)
+    keep = box > 0
+    r0 = 0.3 * g.half_extent
+    w = smooth_step((4.0 * r0 / 3.0 - np.abs(axis_coordinates(g))) / (r0 / 3.0))
+    rows = np.nonzero(w > 0)[0]
+    frame = eig_a.vectors[rows] * w[rows, None]
+    coupling = eig_a.vectors.conj().T @ calc.columns(keep)
+    norms, defects = [], []
+    for a in a_values:
+        plus = alpha >= a
+        q_plus, r_plus = np.linalg.qr(frame[:, plus] @ coupling[plus])
+        for t in times:
+            minus = alpha < a + v * t
+            phase = np.exp(-1j * t * lam) * box
+            sigma, x_rows = factored_norm(frame[:, minus] @ coupling[minus],
+                                          phase[keep], q_plus, r_plus)
+            x = np.zeros(g.dofs, dtype=complex)
+            x[rows] = x_rows
+            z = calc.apply(phase, eig_a.apply(plus.astype(float), w * x))
+            reached = np.linalg.norm(w * eig_a.apply(minus.astype(float), z))
+            norms.append(sigma)
+            defects.append(abs(reached - sigma) / sigma)
+    shape = (len(a_values), len(times))
+    return np.reshape(norms, shape), np.reshape(defects, shape)
+
+
+@pytest.mark.parametrize("kind", ["free", "potential"])
+@pytest.mark.parametrize("times", [[2.0, 4.0, 6.0, 8.0], [8.0, 6.0, 4.0, 2.0],
+                                   [6.0, 2.0, 8.0, 4.0]],
+                         ids=["ascending", "descending", "unsorted"])
+def test_stacked_outgoing_norms_match_the_per_pair_route(kind, times):
+    g = make_grid(1, 32.0, 256)
+    spec = (HamiltonianSpec(g, "free") if kind == "free" else
+            HamiltonianSpec.with_potential(g, gaussian_potential(0.25)))
+    a_values, v = [-5.0, 0.0, 5.0], 0.5
+    res = enss_decay(spec, a_values, v, times)
+    norms, defects = _enss_per_pair(spec, a_values, v, times)
+    got = np.stack([ser.values for ser in res.series])
+    assert (norms > 0).all()
+    np.testing.assert_allclose(got, norms, rtol=1e-12, atol=0)
+    for ser, oracle in zip(res.series, defects):
+        np.testing.assert_array_equal(ser.times, times)
+        assert ser.cross_check <= 1e-12 and oracle.max() <= 1e-12
+
+
+def test_enss_witness_chain_runs_once_per_threshold(monkeypatch):
+    # the T witnesses of a threshold go through the chain as one block: three
+    # calculus applications (chi^+, e^{-itH} g, chi^-) and one SVD stack per a
+    calls = {"apply": 0, "svd": 0}
+    apply, svd = spectral._Calculus.apply, np.linalg.svd
+
+    def counted_apply(self, weights, values):
+        calls["apply"] += 1
+        return apply(self, weights, values)
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(spectral._Calculus, "apply", counted_apply)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    spec = HamiltonianSpec(make_grid(1, 32.0, 256), "free")
+    seen = []
+    for times in (np.linspace(2.0, 8.0, 3), np.linspace(2.0, 8.0, 9)):
+        calls.update(apply=0, svd=0)
+        enss_decay(spec, [-5.0, 0.0, 5.0], 0.5, times)
+        seen.append(dict(calls))
+    assert seen == [{"apply": 9, "svd": 3}] * 2
 
 
 def test_factored_norm_of_empty_side_is_zero():

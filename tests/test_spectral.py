@@ -183,14 +183,69 @@ def test_real_basis_products_make_no_square_temporary():
     g = make_grid(1, 8.0, 512)
     eig = decompose_hamiltonian(HamiltonianSpec.with_potential(g, gaussian_potential(1.0)))
     f = np.random.default_rng(14).standard_normal(512) + 1j
-    for apply in (eig.forward, eig.backward, eig.projector(Interval())):
+    stack = np.random.default_rng(14).standard_normal((4, 512)) + 1j
+    for apply, x in ((eig.forward, f), (eig.backward, f),
+                     (eig.projector(Interval()), f),
+                     (eig.forward, stack), (eig.backward, stack)):
         tracemalloc.start()
         try:
-            apply(f)
+            apply(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 512 * 512
+
+
+@pytest.mark.parametrize("grid", [(1, 8.0, 128), (2, 6.0, 16)], ids=["1d", "2d"])
+@pytest.mark.parametrize("kind", ["fourier", "dense"])
+def test_stacked_calculus_matches_per_slice(kind, grid):
+    # a leading stack axis: (m, *grid.shape) or (m, dofs) values, weights
+    # per slice (m, *spectrum.shape) or broadcast like spectrum
+    g = make_grid(*grid)
+    spec = (HamiltonianSpec.free(g) if kind == "fourier" else
+            HamiltonianSpec.with_potential(g, gaussian_potential(0.5)))
+    calc = calculus(spec)
+    assert isinstance(calc, FourierCalculus if kind == "fourier" else EigenDecomposition)
+    m = 5
+    rng = np.random.default_rng(15)
+    values = rng.standard_normal((m,) + g.shape) + 1j * rng.standard_normal((m,) + g.shape)
+    weights = np.cos(np.arange(1, m + 1)[:, None] * calc.spectrum.ravel()).reshape(
+        (m,) + calc.spectrum.shape)
+    common = np.exp(-1j * calc.spectrum)
+    stacked = {
+        "forward": calc.forward(values),
+        "forward_flat": calc.forward(values.reshape(m, g.dofs)),
+        "apply": calc.apply(weights, values),
+        "apply_broadcast": calc.apply(common, values.reshape(m, g.dofs)),
+    }
+    stacked["backward"] = calc.backward(stacked["forward"])
+    slices = {
+        "forward": [calc.forward(v) for v in values],
+        "forward_flat": [calc.forward(v.ravel()) for v in values],
+        "apply": [calc.apply(w, v) for w, v in zip(weights, values)],
+        "apply_broadcast": [calc.apply(common, v.ravel()) for v in values],
+        "backward": [calc.backward(calc.forward(v)) for v in values],
+    }
+    for name, got in stacked.items():
+        want = np.stack(slices[name])
+        assert got.shape == want.shape, name
+        if kind == "fourier":
+            assert np.array_equal(got, want), name
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+    assert stacked["apply"].shape == (m,) + g.shape
+
+
+def test_stacked_dilation_calculus_matches_per_slice():
+    # the complex unitary basis of the dilation generator, as enss_decay uses it
+    g = make_grid(1, 8.0, 128)
+    eig = decompose_dilation(g)
+    rng = np.random.default_rng(16)
+    values = rng.standard_normal((4, 128)) + 1j * rng.standard_normal((4, 128))
+    masks = (eig.spectrum[None, :] < np.array([-1.0, 0.0, 0.5, 2.0])[:, None]).astype(float)
+    got = eig.apply(masks, values)
+    want = np.stack([eig.apply(w, v) for w, v in zip(masks, values)])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # --- parity split -------------------------------------------------------------
