@@ -1,20 +1,22 @@
 """Acceptance battery: ten end-to-end checks, one per headline property.
 
 Criteria 2-9 are CLI experiments under pinned config overlays: each case is
-resolved by the same merge-and-validate step as `--config`, run by the
-experiment's runner, and must pass every verdict.  Criterion 1 checks the
-propagation engines, which no runner does; criterion 10 reruns the CLI.
-The overlays are frozen: they are the configurations the numbers were
-calibrated on.  The `suite` subcommand and tests/test_acceptance.py run them.
+resolved by the same merge-and-validate step as `--config`, run through the
+same entry point as the command line (`cli.execute`), and must pass every
+verdict.  Criterion 1 checks the propagation engines, which no runner does;
+criterion 10 reruns the CLI in fresh processes.  The overlays are frozen:
+they are the configurations the numbers were calibrated on.  The `suite`
+subcommand and tests/test_acceptance.py run them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import filecmp
-import io
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,7 +84,7 @@ class Criterion:
         records = []
         for experiment, overlay in self.cases:
             cfg = cli.resolve_config(experiment, {**overlay, "seed": seed})
-            _, verdicts, _, _ = cli._RUNNERS[experiment](cfg)
+            _, verdicts, _, _ = cli.execute(cfg)
             records.append({"experiment": experiment, "overlay": overlay,
                             "verdicts": verdicts})
         passed = all(v["pass"] for r in records for v in r["verdicts"])
@@ -140,22 +142,30 @@ _RUNNER_CRITERIA = tuple(Criterion(*c) for c in (
 
 def criterion_10(seed: int = DEFAULT_SEED,
                  scratch_dir: str | None = None) -> CriterionResult:
-    """Rerunning a config with the same seed reproduces reports byte for
-    byte (CSV series included)."""
+    """Rerunning a config with the same seed and thread count, each run in
+    its own `python -m obslab` process, reproduces reports byte for byte
+    (CSV series included), at one and at two threads."""
+    env = {k: v for k, v in os.environ.items() if k != "OBSLAB_OUT"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     checks = {}
     root = Path(tempfile.mkdtemp(prefix="obslab_det_", dir=scratch_dir))
     try:
         for experiment, series in (("uncertainty", "scan.csv"),
                                    ("control", "epsilon_path.csv")):
-            dirs = [root / f"{experiment}_{i}" for i in (0, 1)]
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes = [cli.run(experiment, None, str(d), seed=seed)
-                         for d in dirs]
-            checks[f"{experiment}_exit_codes"] = (codes, codes == [0, 0])
-            for tag, name in (("report", "report.json"), ("series", series)):
-                same = filecmp.cmp(dirs[0] / name, dirs[1] / name,
-                                   shallow=False)
-                checks[f"{experiment}_{tag}_identical"] = (same, same)
+            for threads in (1, 2):
+                tag = f"{experiment}_threads{threads}"
+                dirs = [root / f"{tag}_{i}" for i in (0, 1)]
+                codes = [subprocess.run(
+                    [sys.executable, "-m", "obslab", experiment, "--out", str(d),
+                     "--seed", str(seed), "--threads", str(threads)],
+                    env=env, stdout=subprocess.DEVNULL, timeout=600).returncode
+                    for d in dirs]
+                checks[f"{tag}_exit_codes"] = (codes, codes == [0, 0])
+                for kind, name in (("report", "report.json"), ("series", series)):
+                    files = [d / name for d in dirs]
+                    same = all(f.is_file() for f in files) and filecmp.cmp(
+                        *files, shallow=False)
+                    checks[f"{tag}_{kind}_identical"] = (same, same)
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return _result(10, "reports are byte-deterministic for a fixed seed",

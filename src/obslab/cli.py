@@ -23,8 +23,21 @@ import sys
 import time
 from pathlib import Path
 
-EXPERIMENTS = ("uncertainty", "observability", "minimal-velocity", "enss",
-               "sharpness", "control", "commutator", "suite")
+# experiment -> the top-level config keys its run reads.  Every config also
+# carries "experiment" and "seed"; nothing else is accepted.
+READS = {
+    "uncertainty": ("grid", "hamiltonian", "parameters"),
+    "observability": ("grid", "hamiltonian", "engine", "dt", "parameters"),
+    "minimal-velocity": ("grid", "hamiltonian", "engine", "dt", "parameters"),
+    "enss": ("grid", "hamiltonian", "parameters"),
+    "sharpness": ("grid", "hamiltonian", "engine", "dt", "parameters"),
+    "control": ("grid", "hamiltonian", "engine", "dt", "parameters"),
+    "commutator": ("grid", "parameters"),
+    "suite": (),
+}
+EXPERIMENTS = tuple(READS)
+
+ENGINES = ("multiplier", "splitstep", "dense")
 
 WRAP_LIMIT = 1e-8
 
@@ -186,6 +199,8 @@ _PARAM_SCHEMAS = {
     "commutator": {
         "type": "object",
         "properties": {
+            # the grid's half_extent and points_per_axis, restated; see
+            # _check_commutator_grid
             "half_extent": {"type": "number", "exclusiveMinimum": 0},
             "points": {"type": "integer", "minimum": 16},
             "profile_scale": {"type": "number", "exclusiveMinimum": 0},
@@ -193,37 +208,46 @@ _PARAM_SCHEMAS = {
             "ns": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 5},
             "quadrature_samples": {"type": "integer", "minimum": 1024},
         },
-        "required": ["half_extent", "points", "profile_scale", "shift", "ns"],
+        "required": ["profile_scale", "shift", "ns"],
         "additionalProperties": False,
     },
-    "suite": {"type": "object", "additionalProperties": False, "properties": {}},
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "grid": _GRID_SCHEMA,
-        "hamiltonian": _HAMILTONIAN_SCHEMA,
-        "engine": {"enum": ["multiplier", "splitstep", "dense"]},
-        "dt": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "parameters": {"type": "object"},
-    },
-    "required": ["experiment"],
-    "additionalProperties": False,
+_KEY_SCHEMAS = {
+    "grid": _GRID_SCHEMA,
+    "hamiltonian": _HAMILTONIAN_SCHEMA,
+    "engine": {"enum": list(ENGINES)},
+    "dt": {"type": "number", "exclusiveMinimum": 0},
 }
+
+
+def _schema(experiment: str) -> dict:
+    """The config schema of one experiment: the keys it reads, and no others."""
+    keys = READS[experiment]
+    properties = {
+        "experiment": {"enum": list(EXPERIMENTS)},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
+        **{k: _PARAM_SCHEMAS[experiment] if k == "parameters" else _KEY_SCHEMAS[k]
+           for k in keys},
+    }
+    return {"type": "object", "properties": properties,
+            "required": ["experiment", "seed", *keys],
+            "additionalProperties": False}
+
 
 DEFAULT_SEED = 0x5EED
 
-DEFAULTS = {
+# shared canned values; each experiment takes the ones it reads
+_BASE = {
+    "hamiltonian": {"kind": "free", "convention": "full"},
+    "engine": "multiplier",
+    "dt": 1e-3,
+}
+
+# each experiment's own canned values
+_CANNED = {
     "uncertainty": {
-        "experiment": "uncertainty",
         "grid": {"dim": 1, "half_extent": 32.0, "points_per_axis": 1024},
-        "hamiltonian": {"kind": "free", "convention": "full"},
-        "engine": "multiplier",
-        "dt": 1e-3,
-        "seed": DEFAULT_SEED,
         "parameters": {
             "radii": [0.5, 1.0, 1.5, 2.0],
             "thresholds": [0.5, 1.0, 1.5, 2.0],
@@ -232,12 +256,7 @@ DEFAULTS = {
         },
     },
     "minimal-velocity": {
-        "experiment": "minimal-velocity",
         "grid": {"dim": 1, "half_extent": 320.0, "points_per_axis": 4096},
-        "hamiltonian": {"kind": "free", "convention": "full"},
-        "engine": "multiplier",
-        "dt": 1e-3,
-        "seed": DEFAULT_SEED,
         "parameters": {
             "state": "band",
             "band": [1.12, 1.70],
@@ -249,12 +268,7 @@ DEFAULTS = {
         },
     },
     "enss": {
-        "experiment": "enss",
         "grid": {"dim": 1, "half_extent": 256.0, "points_per_axis": 1024},
-        "hamiltonian": {"kind": "free", "convention": "full"},
-        "engine": "dense",
-        "dt": 1e-3,
-        "seed": DEFAULT_SEED,
         "parameters": {
             "window": [1.0, 2.0],
             "ramp": 0.25,
@@ -265,12 +279,7 @@ DEFAULTS = {
         },
     },
     "observability": {
-        "experiment": "observability",
         "grid": {"dim": 1, "half_extent": 320.0, "points_per_axis": 4096},
-        "hamiltonian": {"kind": "free", "convention": "full"},
-        "engine": "multiplier",
-        "dt": 1e-3,
-        "seed": DEFAULT_SEED,
         "parameters": {
             "packet": {"width": 2.0, "speed": 1.25, "center": 0.0},
             "radius": 1.0,
@@ -280,12 +289,8 @@ DEFAULTS = {
         },
     },
     "sharpness": {
-        "experiment": "sharpness",
         "grid": {"dim": 1, "half_extent": 512.0, "points_per_axis": 131072},
-        "hamiltonian": {"kind": "free", "convention": "full"},
-        "engine": "multiplier",
         "dt": 2e-3,
-        "seed": DEFAULT_SEED,
         "parameters": {
             "profile": {"tightness": 16.0, "support_radius": 0.9,
                         "support_ramp": 0.1},
@@ -296,12 +301,7 @@ DEFAULTS = {
         },
     },
     "control": {
-        "experiment": "control",
         "grid": {"dim": 1, "half_extent": 32.0, "points_per_axis": 512},
-        "hamiltonian": {"kind": "free", "convention": "full"},
-        "engine": "multiplier",
-        "dt": 1e-3,
-        "seed": DEFAULT_SEED,
         "parameters": {
             "initial": {"width": 0.7071067811865476, "speed": 0.0, "center": 0.0},
             "target": {"width": 0.7071067811865476, "speed": 1.0, "center": 3.0},
@@ -315,30 +315,21 @@ DEFAULTS = {
         },
     },
     "commutator": {
-        "experiment": "commutator",
         "grid": {"dim": 1, "half_extent": 12.0, "points_per_axis": 2048},
-        "hamiltonian": {"kind": "free", "convention": "full"},
-        "engine": "dense",
-        "dt": 1e-3,
-        "seed": DEFAULT_SEED,
         "parameters": {
-            "half_extent": 12.0,
-            "points": 2048,
             "profile_scale": 2.0,
             "shift": 1.0,
             "ns": [8, 16, 32, 64, 128],
             "quadrature_samples": 65536,
         },
     },
-    "suite": {
-        "experiment": "suite",
-        "grid": {"dim": 1, "half_extent": 32.0, "points_per_axis": 1024},
-        "hamiltonian": {"kind": "free", "convention": "full"},
-        "engine": "multiplier",
-        "dt": 1e-3,
-        "seed": DEFAULT_SEED,
-        "parameters": {},
-    },
+    "suite": {},
+}
+
+DEFAULTS = {
+    name: {"experiment": name, "seed": DEFAULT_SEED,
+           **{k: v for k, v in _BASE.items() if k in READS[name]}, **own}
+    for name, own in _CANNED.items()
 }
 
 
@@ -351,29 +342,31 @@ def _deep_merge(base, override):
     return out
 
 
-def load_config(experiment: str, path: str | None) -> dict:
-    """Canned defaults overlaid with the user's JSON file; see resolve_config."""
+def load_config(experiment: str, path: str | None,
+                overrides: dict | None = None) -> dict:
+    """Canned defaults overlaid with the user's JSON file, then with the
+    command line's `overrides` (`--engine`, `--seed`); see resolve_config."""
     overlay = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             overlay = json.load(fh)
-    return resolve_config(experiment, overlay)
+    return resolve_config(experiment, {**overlay, **(overrides or {})})
 
 
 @functools.lru_cache(maxsize=None)
-def _validator(experiment: str | None):
-    """Checked, compiled validator for CONFIG_SCHEMA (experiment None) or
-    for an experiment's parameters; checking the schema against its
-    metaschema dominates jsonschema.validate, so it happens once."""
+def _validator(experiment: str):
+    """Checked, compiled validator for an experiment's schema; checking the
+    schema against its metaschema dominates jsonschema.validate, so it
+    happens once."""
     from jsonschema.validators import validator_for
 
-    schema = CONFIG_SCHEMA if experiment is None else _PARAM_SCHEMAS[experiment]
+    schema = _schema(experiment)
     cls = validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
 
 
-def _validate(instance, experiment: str | None) -> None:
+def _validate(instance, experiment: str) -> None:
     """jsonschema.validate against a cached validator: same error raised."""
     from jsonschema.exceptions import best_match
 
@@ -400,19 +393,35 @@ def _check_hamiltonian_keys(h: dict) -> None:
                              f"{pot['form']!r}")
 
 
+def _check_commutator_grid(cfg: dict) -> None:
+    """The commutator runs on the grid's 1-D lattice; parameters that restate
+    the grid's half extent or point count must agree with it."""
+    g, p = cfg["grid"], cfg["parameters"]
+    if g["dim"] != 1:
+        raise ValueError(f"commutator runs on a 1-D grid, not dim {g['dim']}")
+    for key, grid_key in (("half_extent", "half_extent"),
+                          ("points", "points_per_axis")):
+        if key in p and p[key] != g[grid_key]:
+            raise ValueError(f"commutator parameters.{key} = {p[key]} differs "
+                             f"from grid.{grid_key} = {g[grid_key]}")
+
+
 def resolve_config(experiment: str, overlay: dict) -> dict:
-    """Canned defaults overlaid with `overlay`; schema errors and Hamiltonian
-    keys that the chosen kind or form never reads raise."""
+    """Canned defaults overlaid with `overlay`.  A key the experiment never
+    reads, a schema error, or a Hamiltonian key that the chosen kind or form
+    never reads raises."""
     # the round trip deep-copies, so the result shares nothing with
     # DEFAULTS or the overlay
     merged = json.loads(json.dumps(_deep_merge(DEFAULTS[experiment], overlay)))
-    _validate(merged, None)
+    _validate(merged, experiment)
     if merged["experiment"] != experiment:
         raise ValueError(
             f"config names experiment {merged['experiment']!r}, "
             f"subcommand is {experiment!r}")
-    _validate(merged.get("parameters", {}), experiment)
-    _check_hamiltonian_keys(merged["hamiltonian"])
+    if "hamiltonian" in merged:
+        _check_hamiltonian_keys(merged["hamiltonian"])
+    if experiment == "commutator":
+        _check_commutator_grid(merged)
     return merged
 
 
@@ -491,30 +500,24 @@ def _plain(obj):
     return obj
 
 
-def _verdict(name, measured, threshold, comparison, anchor, passed=None):
+def _verdict(name, measured, threshold, comparison, anchor):
     ops = {"<=": lambda m, t: m <= t, "<": lambda m, t: m < t,
            ">=": lambda m, t: m >= t, "==": lambda m, t: m == t}
-    if passed is None:
-        passed = bool(ops[comparison](measured, threshold))
-    return {"name": name, "pass": bool(passed), "measured": measured,
-            "threshold": threshold, "comparison": comparison,
-            "anchor": anchor}
+    return {"name": name, "pass": bool(ops[comparison](measured, threshold)),
+            "measured": measured, "threshold": threshold,
+            "comparison": comparison, "anchor": anchor}
 
 
 # ---------------------------------------------------------------------------
 # shared builders
 
-def _grid_from(cfg):
+def _hamiltonian_from(cfg):
     from .grid import make_grid
-
-    g = cfg["grid"]
-    return make_grid(g["dim"], g["half_extent"], g["points_per_axis"])
-
-
-def _hamiltonian_from(cfg, grid):
     from .hamiltonian import (HamiltonianSpec, ball_potential,
                               gaussian_potential, zero_potential)
 
+    g = cfg["grid"]
+    grid = make_grid(g["dim"], g["half_extent"], g["points_per_axis"])
     h = cfg["hamiltonian"]
     kind = h["kind"]
     conv = h.get("convention", "full")
@@ -534,12 +537,6 @@ def _hamiltonian_from(cfg, grid):
     else:
         pot = zero_potential()
     return HamiltonianSpec.with_potential(grid, pot, convention=conv)
-
-
-def _plan_from(cfg, spec):
-    from .propagate import PropagatorPlan
-
-    return PropagatorPlan(spec, cfg["engine"], dt=cfg.get("dt", 1e-3))
 
 
 def _times_from(p):
@@ -564,17 +561,6 @@ def _packet_field(grid, packet):
     return Field(grid, f.values / l2_norm(f))
 
 
-def _hypothesis_verdicts(spec):
-    """The repulsive_hypothesis verdict, for potential-kind Hamiltonians."""
-    if spec.kind != "potential":
-        return []
-    from .hamiltonian import min_virial
-
-    return [_verdict("repulsive_hypothesis", min_virial(spec), -1e-12, ">=",
-                     "the potential is repulsive, -x.grad V >= 0, as the "
-                     "minimal velocity estimates assume")]
-
-
 def _cross_check_verdicts(checks):
     """The engine_cross_check verdict, when the dense check ran at all."""
     ran = [c for c in checks if c is not None]
@@ -588,12 +574,10 @@ def _cross_check_verdicts(checks):
 # ---------------------------------------------------------------------------
 # experiment runners: each returns (results, verdicts, series, fields)
 
-def _run_uncertainty(cfg):
+def _run_uncertainty(cfg, spec):
     from .inequality import (uncertainty_norm, uncertainty_norm_dense,
                              uncertainty_scan)
 
-    grid = _grid_from(cfg)
-    spec = _hamiltonian_from(cfg, grid)
     p = cfg["parameters"]
 
     scan = uncertainty_scan(spec, p["radii"], p["thresholds"])
@@ -617,7 +601,6 @@ def _run_uncertainty(cfg):
                  "norms at equal scaling invariant R delta^(1/p) coincide, "
                  "reflecting the dilation covariance of the pair"),
     ]
-    verdicts += _hypothesis_verdicts(spec)
     results = {
         "scan_norms": scan.norms,
         "radii": list(scan.radii),
@@ -640,14 +623,11 @@ def _run_uncertainty(cfg):
     return results, verdicts, series, []
 
 
-def _run_minimal_velocity(cfg):
+def _run_minimal_velocity(cfg, spec, plan):
     from .inequality import (frequency_band_state, group_velocity_floor,
                              minimal_velocity_decay, window_localized_state)
     from .spectral import Interval
 
-    grid = _grid_from(cfg)
-    spec = _hamiltonian_from(cfg, grid)
-    plan = _plan_from(cfg, spec)
     p = cfg["parameters"]
 
     window = tuple(p["energy_window"])
@@ -674,7 +654,6 @@ def _run_minimal_velocity(cfg):
                  "does not recirculate the state"),
     ]
     verdicts += _cross_check_verdicts([series_data.cross_check])
-    verdicts += _hypothesis_verdicts(spec)
     results = {
         "velocity": v,
         "velocity_floor": group_velocity_floor(spec, window[0]),
@@ -695,11 +674,9 @@ def _run_minimal_velocity(cfg):
     return results, verdicts, series, []
 
 
-def _run_enss(cfg):
+def _run_enss(cfg, spec):
     from .inequality import enss_decay
 
-    grid = _grid_from(cfg)
-    spec = _hamiltonian_from(cfg, grid)
     p = cfg["parameters"]
     res = enss_decay(spec, p["a_values"], p["velocity"],
                      _times_from(p["times"]), window=tuple(p["window"]),
@@ -718,7 +695,6 @@ def _run_enss(cfg):
         "norm_witness", max(s.cross_check for s in res.series), 1e-8, "<=",
         "each exact norm is attained: its top singular vector, sent through "
         "the operator chain, reproduces the singular value"))
-    verdicts += _hypothesis_verdicts(spec)
     results = {
         "mourre_floor": res.mourre_floor,
         "a_values": list(res.thresholds),
@@ -748,14 +724,11 @@ def _run_enss(cfg):
     return results, verdicts, series, []
 
 
-def _run_observability(cfg):
+def _run_observability(cfg, spec, plan):
     from .inequality import observability_ratio
 
-    grid = _grid_from(cfg)
-    spec = _hamiltonian_from(cfg, grid)
-    plan = _plan_from(cfg, spec)
     p = cfg["parameters"]
-    u0 = _packet_field(grid, p["packet"])
+    u0 = _packet_field(spec.grid, p["packet"])
 
     runs = []
     for gap in p["gaps"]:
@@ -767,10 +740,10 @@ def _run_observability(cfg):
     verdicts = [
         _verdict("constants_finite", finite, True, "==",
                  "two exterior observations at separated times recover a "
-                 "definite fraction of the initial mass", passed=finite),
+                 "definite fraction of the initial mass"),
         _verdict("nonincreasing_in_gap", nonincreasing, True, "==",
                  "a longer observation gap cannot make exterior recovery "
-                 "worse", passed=nonincreasing),
+                 "worse"),
         _verdict("reduction_invariance",
                  max(r.reduction_deviation for r in runs), 1e-8, "<=",
                  "shifting the first observation to time zero leaves the "
@@ -780,7 +753,6 @@ def _run_observability(cfg):
                  "gap"),
     ]
     verdicts += _cross_check_verdicts([r.cross_check for r in runs])
-    verdicts += _hypothesis_verdicts(spec)
     results = {
         "gaps": list(p["gaps"]),
         "ratios": ratios,
@@ -801,16 +773,14 @@ def _run_observability(cfg):
     return results, verdicts, series, []
 
 
-def _run_sharpness(cfg):
+def _run_sharpness(cfg, spec, plan):
     import numpy as np
 
     from .grid import Field, l2_norm, axis_coordinates, _meshed, radius_squared
     from .inequality import sharpness_sequence
     from .spectral import smooth_step
 
-    grid = _grid_from(cfg)
-    spec = _hamiltonian_from(cfg, grid)
-    plan = _plan_from(cfg, spec)
+    grid = spec.grid
     p = cfg["parameters"]
     prof = p["profile"]
 
@@ -825,8 +795,7 @@ def _run_sharpness(cfg):
     verdicts = [
         _verdict("columns_decreasing", table.both_decreasing, True, "==",
                  "concentrating the datum shrinks both the unobserved "
-                 "exterior mass and the evolved interior mass",
-                 passed=table.both_decreasing),
+                 "exterior mass and the evolved interior mass"),
         _verdict("exterior_final_fraction", table.final_fraction_exterior,
                  0.1, "<=",
                  "the exterior column drops by at least an order of "
@@ -839,7 +808,6 @@ def _run_sharpness(cfg):
                  "boundary shell mass stays negligible at the observation "
                  "time"),
     ]
-    verdicts += _hypothesis_verdicts(spec)
     results = {
         "ks": list(table.ks),
         "exterior_masses": table.exterior_masses,
@@ -854,7 +822,7 @@ def _run_sharpness(cfg):
     return results, verdicts, series, []
 
 
-def _run_control(cfg):
+def _run_control(cfg, spec, plan):
     import numpy as np
 
     from .control import (ControlProblem, adjoint_defect, epsilon_path,
@@ -862,9 +830,7 @@ def _run_control(cfg):
     from .grid import l2_norm, Field
     from .propagate import evolve
 
-    grid = _grid_from(cfg)
-    spec = _hamiltonian_from(cfg, grid)
-    plan = _plan_from(cfg, spec)
+    grid = spec.grid
     p = cfg["parameters"]
     u0 = _packet_field(grid, p["initial"])
     u_t = _packet_field(grid, p["target"])
@@ -898,8 +864,7 @@ def _run_control(cfg):
 
     verdicts = [
         _verdict("zero_target_exact", zero_exact, True, "==",
-                 "steering to the free drift needs no control at all",
-                 passed=zero_exact),
+                 "steering to the free drift needs no control at all"),
         _verdict("adjoint_identity", adjoint, 1e-8, "<=",
                  "the observation map and the kicked flow are numerically "
                  "adjoint on random probes"),
@@ -908,10 +873,9 @@ def _run_control(cfg):
                  "state matches the target displacement"),
         _verdict("epsilon_path_monotone", eps_monotone, True, "==",
                  "shrinking the regularization trades control cost for "
-                 "terminal accuracy monotonically", passed=eps_monotone),
+                 "terminal accuracy monotonically"),
         _verdict("cg_objective_monotone", j_monotone, True, "==",
-                 "the conjugate-gradient dual objective never increases",
-                 passed=j_monotone),
+                 "the conjugate-gradient dual objective never increases"),
         _verdict("cross_engine_residual", check.within_factor, 2.0, "<=",
                  "an independent engine reproduces the solver's terminal "
                  "error up to a factor of two"),
@@ -919,7 +883,6 @@ def _run_control(cfg):
                  "the controls vanish identically off their observation "
                  "regions"),
     ]
-    verdicts += _hypothesis_verdicts(spec)
     results = {
         "y_norm": ynorm,
         "adjoint_defect": adjoint,
@@ -952,9 +915,9 @@ def _run_commutator(cfg):
     from .commutator import (derivative_bump_scaling, momentum_pair,
                              scaling_fit)
 
-    p = cfg["parameters"]
-    exp = momentum_pair(p["half_extent"], p["points"], p["profile_scale"],
-                        p["shift"], tuple(p["ns"]))
+    g, p = cfg["grid"], cfg["parameters"]
+    exp = momentum_pair(g["half_extent"], g["points_per_axis"],
+                        p["profile_scale"], p["shift"], tuple(p["ns"]))
     fit = scaling_fit(exp)
     bump = derivative_bump_scaling(tuple(p["ns"]),
                                    p.get("quadrature_samples", 65536))
@@ -965,10 +928,10 @@ def _run_commutator(cfg):
                  "decay with the band scale"),
         _verdict("envelope_bound", fit.bounds_ok, True, "==",
                  "a single fitted constant times the scale to the -3/4 "
-                 "dominates every measured norm", passed=fit.bounds_ok),
+                 "dominates every measured norm"),
         _verdict("crude_bound", fit.crude_ok, True, "==",
                  "every commutator norm respects the trivial bound of twice "
-                 "the multiplier norm", passed=fit.crude_ok),
+                 "the multiplier norm"),
         _verdict("bump_l2_exponent", abs(bump.exponent_l2 + 0.5), 0.025, "<=",
                  "the derivative bump's quadratic mean shrinks exactly like "
                  "the inverse square root of the band scale"),
@@ -979,8 +942,7 @@ def _run_commutator(cfg):
         _verdict("proxy_under_envelope", bump.proxy_under_envelope, True,
                  "==",
                  "the interpolation proxy for the integrable-transform norm "
-                 "stays under its -3/4 envelope",
-                 passed=bump.proxy_under_envelope),
+                 "stays under its -3/4 envelope"),
         _verdict("lanczos_residual", max(residuals), 1e-10, "<=",
                  "every commutator norm, and the commutator with A itself, "
                  "is an extreme Ritz value certified by its Lanczos "
@@ -1023,8 +985,7 @@ def _run_suite(cfg):
 
     criteria = [criterion(cfg["seed"]) for criterion in CRITERIA]
     verdicts = [
-        _verdict(f"criterion_{c.number}", c.passed, True, "==",
-                 c.name, passed=c.passed)
+        _verdict(f"criterion_{c.number}", c.passed, True, "==", c.name)
         for c in criteria
     ]
     results = {
@@ -1048,6 +1009,33 @@ _RUNNERS = {
 
 # ---------------------------------------------------------------------------
 # orchestration
+
+def execute(cfg: dict):
+    """Run a resolved config; returns (results, verdicts, series, fields).
+
+    Builds H (on its grid) once when the experiment reads `hamiltonian`, and
+    the propagator plan once when it reads `engine`, and hands them to the
+    runner.  A potential-kind H ends the verdicts with repulsive_hypothesis.
+    """
+    experiment = cfg["experiment"]
+    reads = READS[experiment]
+    if "hamiltonian" not in reads:
+        return _RUNNERS[experiment](cfg)
+    from .hamiltonian import min_virial
+    from .propagate import PropagatorPlan
+
+    spec = _hamiltonian_from(cfg)
+    built = (spec,)
+    if "engine" in reads:
+        built += (PropagatorPlan(spec, cfg["engine"], dt=cfg["dt"]),)
+    results, verdicts, series, fields = _RUNNERS[experiment](cfg, *built)
+    if spec.kind == "potential":
+        verdicts = verdicts + [_verdict(
+            "repulsive_hypothesis", min_virial(spec), -1e-12, ">=",
+            "the potential is repulsive, -x.grad V >= 0, as the minimal "
+            "velocity estimates assume")]
+    return results, verdicts, series, fields
+
 
 def _emit(out: Path, report: dict, elapsed: float, series, fields) -> None:
     """Write every output into a temporary directory beside out, then move it
@@ -1085,24 +1073,21 @@ def run(experiment: str, config_path: str | None, out_dir: str,
 
     Outputs are all or nothing: an error (exit 1) leaves out_dir as it was.
     """
+    overrides = {k: v for k, v in (("engine", engine), ("seed", seed))
+                 if v is not None}
     try:
-        cfg = load_config(experiment, config_path)
+        cfg = load_config(experiment, config_path, overrides)
     except Exception as err:  # schema violation or unreadable config: no outputs
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    if engine is not None:
-        cfg["engine"] = engine
-    if seed is not None:
-        cfg["seed"] = seed
-
-    started = time.time()
+    started = time.perf_counter()
     try:
-        results, verdicts, series, fields = _RUNNERS[experiment](cfg)
+        results, verdicts, series, fields = execute(cfg)
     except Exception as err:
         print(f"error: {experiment} run failed: {err}", file=sys.stderr)
         return 1
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
 
     from . import __version__
 
@@ -1129,23 +1114,35 @@ def run(experiment: str, config_path: str | None, out_dir: str,
     return 0 if report["pass"] else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other error does: 2 means a run
+    completed with a failed verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="obslab",
         description="spectral lab for dispersive propagation, observability "
                     "and impulse control")
     parser.add_argument("--version", action="store_true",
                         help="print version and exit")
     sub = parser.add_subparsers(dest="experiment")
-    for name in EXPERIMENTS:
+    for name, reads in READS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, metavar="PATH")
         sp.add_argument("--out", default="obslab_out", metavar="DIR")
-        sp.add_argument("--engine", default=None,
-                        choices=["multiplier", "splitstep", "dense"])
+        if "engine" in reads:
+            sp.add_argument("--engine", default=None, choices=ENGINES)
         sp.add_argument("--seed", default=None, type=int, metavar="U64")
         sp.add_argument("--threads", default=None, type=int, metavar="N")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:      # a usage error (1), or --help (0)
+        return stop.code
 
     if args.version:
         from . import __version__
@@ -1166,7 +1163,7 @@ def main(argv=None) -> int:
         print("error: --seed must fit in 64 bits", file=sys.stderr)
         return 1
     return run(args.experiment, args.config, out_dir,
-               engine=args.engine, seed=args.seed)
+               engine=vars(args).get("engine"), seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -169,15 +169,6 @@ def min_virial(spec: HamiltonianSpec) -> float:
     return float(virial.min()) + 0.0       # + 0.0 reads a -0.0 minimum as 0.0
 
 
-@dataclass(eq=False)
-class DilationMatrix:
-    """Dense symmetrized generator A = (x.p + p.x)/2 on a 1-D grid."""
-
-    grid: GridSpec
-    matrix: np.ndarray
-    hermiticity_defect: float
-
-
 def _dense_momentum(grid: GridSpec) -> np.ndarray:
     """Spectral differentiation -i d/dx with the Nyquist mode zeroed.
 
@@ -191,18 +182,16 @@ def _dense_momentum(grid: GridSpec) -> np.ndarray:
     return np.fft.ifft(xi[:, None] * f_of_eye, axis=0)
 
 
-def dilation_generator(grid: GridSpec) -> DilationMatrix:
+def dilation_generator(grid: GridSpec) -> np.ndarray:
+    """Dense symmetrized generator A = (x.p + p.x)/2 on a 1-D grid."""
     if grid.dim != 1:
         raise ValueError("dilation generator is built dense on 1-D grids only")
     if grid.dofs > DENSE_LIMIT:
         raise ValueError(f"dense dilation generator capped at {DENSE_LIMIT} points")
     x = axis_coordinates(grid)
     p = _dense_momentum(grid)
-    xp = x[:, None] * p
-    m = 0.5 * (xp + p * x[None, :])
-    defect = float(np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1e-300))
-    a = 0.5 * (m + m.conj().T)
-    return DilationMatrix(grid, a, defect)
+    m = 0.5 * (x[:, None] * p + p * x[None, :])
+    return 0.5 * (m + m.conj().T)
 
 
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:

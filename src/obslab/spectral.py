@@ -248,7 +248,7 @@ def decompose_hamiltonian(spec: HamiltonianSpec) -> EigenDecomposition:
 @lru_cache(maxsize=1)
 def decompose_dilation(grid: GridSpec) -> EigenDecomposition:
     """Eigenbasis of the dilation generator on a grid; cached and read-only."""
-    w, v = np.linalg.eigh(dilation_generator(grid).matrix)
+    w, v = np.linalg.eigh(dilation_generator(grid))
     w.flags.writeable = False
     v.flags.writeable = False
     return EigenDecomposition(w, v, grid)

@@ -85,8 +85,7 @@ def test_schema_rejects_unknown_parameter(tmp_path):
 def test_cached_validators_raise_what_jsonschema_raises(experiment, overlay):
     merged = cli._deep_merge(cli.DEFAULTS[experiment], overlay)
     try:
-        jsonschema.validate(merged, cli.CONFIG_SCHEMA)
-        jsonschema.validate(merged["parameters"], cli._PARAM_SCHEMAS[experiment])
+        jsonschema.validate(merged, cli._schema(experiment))
     except jsonschema.ValidationError as err:
         expected = err.message
     else:
@@ -101,6 +100,77 @@ def test_experiment_name_must_match(tmp_path):
     path = write_config(tmp_path / "cfg.json", {"experiment": "control"})
     with pytest.raises(ValueError, match="subcommand"):
         cli.load_config("uncertainty", path)
+
+
+class _Recording(dict):
+    """A config that notes every top-level key read from it."""
+
+    def __init__(self, cfg, seen):
+        super().__init__(cfg)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+# small overlays where the canned run is slow; which keys a run reads does
+# not depend on sizes
+_QUICK = {
+    "uncertainty": {"grid": {"points_per_axis": 256}},
+    "enss": {"grid": {"half_extent": 64.0, "points_per_axis": 256},
+             "parameters": {"times": {"start": 2.0, "stop": 8.0, "count": 4}}},
+    "sharpness": {"grid": {"half_extent": 8.0, "points_per_axis": 2048}},
+    "commutator": {"grid": {"points_per_axis": 1024},
+                   "parameters": {"ns": [6, 12, 24, 48, 64],
+                                  "profile_scale": 3.0,
+                                  "quadrature_samples": 4096}},
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_a_run_reads_exactly_its_canned_keys(experiment, monkeypatch):
+    # execute and the runner together read every key of the resolved canned
+    # config ("seed" aside, which every config carries) and no other
+    monkeypatch.setattr(acceptance, "CRITERIA", ())
+    seen = set()
+    cfg = cli.resolve_config(experiment, _QUICK.get(experiment, {}))
+    cli.execute(_Recording(cfg, seen))
+    canned = set(cli.resolve_config(experiment, {}))
+    assert seen | {"seed"} == canned
+    assert canned == {"experiment", "seed", *cli.READS[experiment]}
+
+
+@pytest.mark.parametrize("experiment, overlay", [
+    *((e, {key: value}) for e in ("uncertainty", "enss")
+      for key, value in (("engine", "dense"), ("dt", 1e-3))),
+    *(("commutator", {key: value}) for key, value in (
+        ("hamiltonian", {"kind": "free"}), ("engine", "dense"), ("dt", 1e-3))),
+    *(("suite", {key: value}) for key, value in (
+        ("grid", {"dim": 1, "half_extent": 32.0, "points_per_axis": 1024}),
+        ("hamiltonian", {"kind": "free"}), ("engine", "multiplier"),
+        ("dt", 1e-3), ("parameters", {}))),
+    # the commutator's lattice is the grid's, and 1-D
+    ("commutator", {"grid": {"dim": 2, "points_per_axis": 64}}),
+    ("commutator", {"parameters": {"points": 1024}}),
+    ("commutator", {"parameters": {"half_extent": 16.0}}),
+])
+def test_keys_the_run_would_ignore_exit_1_and_write_nothing(
+        experiment, overlay, tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", overlay)
+    out = tmp_path / "out"
+    assert cli.run(experiment, path, str(out)) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    (key,) = overlay
+    if experiment == "commutator" and key in ("grid", "parameters"):
+        assert "1-D grid" in err or "differs from grid" in err
+    else:
+        assert f"{key!r} was unexpected" in err
 
 
 def test_hamiltonian_keys_the_run_would_ignore_are_rejected(tmp_path, capsys):
@@ -228,7 +298,7 @@ def test_enss_runner_gates_on_the_norm_witness():
         "grid": {"dim": 1, "half_extent": 64.0, "points_per_axis": 512},
         "parameters": {"a_values": [0.0],
                        "times": {"start": 3.0, "stop": 12.0, "count": 4}}})
-    results, verdicts, _, _ = cli._RUNNERS["enss"](cfg)
+    results, verdicts, _, _ = cli.execute(cfg)
     witness = {v["name"]: v for v in verdicts}["norm_witness"]
     assert witness["pass"] is True and witness["threshold"] == 1e-8
     assert witness["measured"] == max(results["witness_defect"])
@@ -318,7 +388,7 @@ def test_engine_cross_check_gates_the_observability_run(tmp_path, monkeypatch):
 def test_engine_cross_check_verdict_only_when_the_check_ran():
     # the canned observability grid sits at the dense budget: no check
     cfg = cli.resolve_config("observability", {})
-    results, verdicts, _, _ = cli._RUNNERS["observability"](cfg)
+    results, verdicts, _, _ = cli.execute(cfg)
     assert results["engine_cross_checks"] == [None, None, None]
     assert "engine_cross_check" not in [v["name"] for v in verdicts]
 
@@ -348,7 +418,7 @@ def test_repulsive_hypothesis_absent_for_other_kinds():
                         {"kind": "inverse_square", "c": -0.1}):
         cfg = cli.resolve_config("uncertainty", {**SMALL_UNCERTAINTY,
                                                  "hamiltonian": hamiltonian})
-        _, verdicts, _, _ = cli._RUNNERS["uncertainty"](cfg)
+        _, verdicts, _, _ = cli.execute(cfg)
         assert "repulsive_hypothesis" not in [v["name"] for v in verdicts]
 
 
@@ -399,7 +469,7 @@ def test_runner_failure_writes_nothing(tmp_path, capsys):
 def test_emission_failure_writes_nothing(tmp_path, monkeypatch, capsys):
     # series columns of unequal length fail emission: exit 1, and no
     # output directory appears, or an existing one keeps its old files
-    def planted(cfg):
+    def planted(cfg, spec, plan):
         return {}, [], [("bad.csv", {"a": [1.0], "b": []})], []
 
     monkeypatch.setitem(cli._RUNNERS, "observability", planted)
@@ -430,7 +500,7 @@ def test_rerun_replaces_outputs_in_an_existing_directory(tmp_path):
 
 
 def test_non_finite_values_make_strict_json(tmp_path, monkeypatch):
-    def planted(cfg):
+    def planted(cfg, spec, plan):
         results = {"ratio": float("inf"), "floor": np.float64(-np.inf),
                    "gap": np.float64("nan")}
         verdicts = [cli._verdict("upper", math.inf, 1.0, "<=", "planted"),
@@ -451,7 +521,7 @@ def test_non_finite_values_make_strict_json(tmp_path, monkeypatch):
 def test_acceptance_gates_on_runner_verdicts(monkeypatch):
     seen = []
 
-    def planted(cfg):
+    def planted(cfg, spec, plan):
         seen.append(cfg)
         return {}, [cli._verdict("planted", 1.0, 0.0, "<=", "planted")], [], []
 
@@ -489,6 +559,57 @@ def test_main_rejects_wide_seed(tmp_path, capsys):
     assert cli.main(["uncertainty", "--seed", "-1",
                      "--out", str(tmp_path / "x")]) == 1
     assert "64 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncertainty", "--bogus"],
+    ["nosuch"],
+    ["uncertainty", "--threads", "two"],
+    ["observability", "--engine", "lanczos"],
+    *([name, "--engine", "dense"]
+      for name in ("uncertainty", "enss", "commutator", "suite")),
+])
+def test_usage_errors_exit_1_and_write_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_dash_m_usage_error_exits_1(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "obslab", "enss", "--engine",
+                           "dense", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "unrecognized arguments: --engine dense" in done.stderr
+    assert not out.exists()
+
+
+def test_engine_option_overlays_the_config(tmp_path):
+    path = write_config(tmp_path / "cfg.json", {
+        "grid": {"dim": 1, "half_extent": 64.0, "points_per_axis": 512},
+        "hamiltonian": {"kind": "fractional", "s": 1.0},
+        "parameters": {"packet": {"width": 4.0, "speed": 4.0}, "sigma": 0.5,
+                       "t1": 1.0}})
+    out = tmp_path / "out"
+    assert cli.main(["observability", "--config", path, "--out", str(out),
+                     "--engine", "dense"]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["engine"] \
+        == "dense"
+
+
+def test_wall_clock_seconds_survive_a_clock_stepping_back(tmp_path, monkeypatch):
+    import itertools
+    import time
+
+    clock = itertools.count(1e9, -3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    path = write_config(tmp_path / "cfg.json", SMALL_UNCERTAINTY)
+    assert cli.run("uncertainty", path, str(tmp_path / "out")) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert meta["wall_clock_seconds"] >= 0.0
 
 
 def test_main_env_output_override(tmp_path, monkeypatch):

@@ -138,7 +138,7 @@ def test_dilation_projectors_split_the_identity():
     assert decompose_dilation.cache_info().hits == hits + 1
     assert not eig.eigenvalues.flags.writeable
     assert not eig.vectors.flags.writeable
-    assert eig.residual(dilation_generator(g).matrix) <= 1e-12
+    assert eig.residual(dilation_generator(g)) <= 1e-12
     project = eig.apply
     plus = (eig.eigenvalues >= 0.7).astype(float)
     minus = 1.0 - plus
