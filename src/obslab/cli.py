@@ -39,6 +39,10 @@ EXPERIMENTS = tuple(READS)
 
 ENGINES = ("multiplier", "splitstep", "dense")
 
+# the BLAS and OpenMP pool sizes --threads sets; run_meta.json records them
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
 WRAP_LIMIT = 1e-8
 
 # ---------------------------------------------------------------------------
@@ -635,7 +639,7 @@ def _run_minimal_velocity(cfg, spec, plan):
         psi = frequency_band_state(spec, p["band"][0], p["band"][1],
                                    p["band_ramp"])
     else:
-        psi = window_localized_state(spec, Interval(*window, include_hi=True),
+        psi = window_localized_state(spec, Interval(*window),
                                      p["band"][0], p["band"][1],
                                      p["band_ramp"],
                                      energy_ramp=p["energy_ramp"])
@@ -1037,15 +1041,13 @@ def execute(cfg: dict):
     return results, verdicts, series, fields
 
 
-def _emit(out: Path, report: dict, elapsed: float, series, fields) -> None:
+def _emit(out: Path, report: dict, meta: dict, series, fields) -> None:
     """Write every output into a temporary directory beside out, then move it
-    into place: the whole directory when out is new, else file by file."""
+    into place: the whole directory when out is new, else file by file.
+    run_meta.json gets meta plus the report's sha256."""
     report_bytes = (json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
                     + "\n").encode()
-    meta = {
-        "wall_clock_seconds": elapsed,
-        "report_sha256": hashlib.sha256(report_bytes).hexdigest(),
-    }
+    meta = dict(meta, report_sha256=hashlib.sha256(report_bytes).hexdigest())
     # mkdir, unlike mkdtemp, gives the directory the permissions umask allows
     stage = out.parent / f".{out.name}.{os.getpid()}.{time.monotonic_ns()}"
     stage.mkdir(parents=True)
@@ -1068,10 +1070,12 @@ def _emit(out: Path, report: dict, elapsed: float, series, fields) -> None:
 
 
 def run(experiment: str, config_path: str | None, out_dir: str,
-        engine: str | None = None, seed: int | None = None) -> int:
+        engine: str | None = None, seed: int | None = None,
+        threads: int | None = None) -> int:
     """Execute one experiment end to end; returns the process exit code.
 
     Outputs are all or nothing: an error (exit 1) leaves out_dir as it was.
+    threads is the --threads value, recorded in run_meta.json only.
     """
     overrides = {k: v for k, v in (("engine", engine), ("seed", seed))
                  if v is not None}
@@ -1089,6 +1093,8 @@ def run(experiment: str, config_path: str | None, out_dir: str,
         return 1
     elapsed = time.perf_counter() - started
 
+    import numpy as np
+
     from . import __version__
 
     report = {
@@ -1099,9 +1105,16 @@ def run(experiment: str, config_path: str | None, out_dir: str,
         "verdicts": _plain(verdicts),
         "pass": all(v["pass"] for v in verdicts),
     }
+    meta = {
+        "wall_clock_seconds": elapsed,
+        "threads": threads,
+        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+    }
     out = Path(out_dir)
     try:
-        _emit(out, report, elapsed, series, fields)
+        _emit(out, report, meta, series, fields)
     except Exception as err:
         print(f"error: {experiment} outputs not written: {err}", file=sys.stderr)
         return 1
@@ -1154,8 +1167,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        for var in THREAD_VARS:
             os.environ[var] = str(args.threads)
 
     out_dir = os.environ.get("OBSLAB_OUT", args.out)
@@ -1163,7 +1175,8 @@ def main(argv=None) -> int:
         print("error: --seed must fit in 64 bits", file=sys.stderr)
         return 1
     return run(args.experiment, args.config, out_dir,
-               engine=vars(args).get("engine"), seed=args.seed)
+               engine=vars(args).get("engine"), seed=args.seed,
+               threads=args.threads)
 
 
 if __name__ == "__main__":

@@ -21,14 +21,15 @@ reconstructed terminal state misses y by exactly 2 eps f*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
 from .estimate import POWER_SEED
-from .grid import Field, RegionMask, inner, l2_norm
+from .grid import Field, exterior_weights, inner, l2_norm, mass_in_region
 from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
-from .propagate import PropagatorPlan, evolve, evolve_backward
+from .inequality import second_observation_radius
+from .propagate import PropagatorPlan, evolve, evolve_backward, snap_times
 
 
 @dataclass(frozen=True)
@@ -55,27 +56,22 @@ class ControlProblem:
     def second_radius(self) -> float:
         if self.radius == 0:
             return 0.0
-        p = self.hamiltonian.s
-        return self.sigma * (self.tau2 - self.tau1) / self.radius ** (p - 1.0)
+        return second_observation_radius(self.hamiltonian, self.radius,
+                                         self.sigma, self.tau2 - self.tau1)
 
     def snapped_to(self, plan: "PropagatorPlan") -> "ControlProblem":
         """Round the kick times onto the splitstep lattice; no-op otherwise."""
         if plan.engine != "splitstep":
             return self
-        dt = plan.dt
-        t1, t2 = (round(t / dt) * dt for t in (self.tau1, self.tau2))
-        return ControlProblem(self.hamiltonian, self.u0, self.u_target,
-                              t1, t2, self.horizon, self.radius, self.sigma)
+        t1, t2 = snap_times(plan, [self.tau1, self.tau2]).tolist()
+        return replace(self, tau1=t1, tau2=t2)
 
     def mask(self, index: int) -> np.ndarray:
-        """Indicator of chi(|x| >= r_index); radius 0 covers everything."""
+        """Weights of the region |x| > r_index, one minus the closed ball; at
+        radius 0 the removed ball is open, hence empty, and the region is
+        everything."""
         r = self.radius if index == 1 else self.second_radius
-        g = self.hamiltonian.grid
-        if r == 0:
-            region = RegionMask.everything()
-        else:
-            region = RegionMask.exterior(r)
-        return region.indicator(g)
+        return exterior_weights(self.hamiltonian.grid, r, closed=r > 0)
 
 
 def apply_observation(plan: PropagatorPlan, problem: ControlProblem,
@@ -125,7 +121,6 @@ class ControlSolution:
     terminal_error: float
     cost: float
     iterations: int
-    epsilon: float
     converged: bool
     gradient_norm: float
     j_path: list = dfield(default_factory=list)
@@ -156,8 +151,7 @@ def solve_impulse_control(plan: PropagatorPlan, problem: ControlProblem,
     ynorm = math.sqrt(cell * float(np.vdot(y, y).real))
     zero = Field(g, np.zeros(g.shape, dtype=complex))
     if ynorm == 0.0:
-        return ControlSolution(zero, zero, zero, 0.0, 0.0, 0, epsilon,
-                               True, 0.0, [0.0])
+        return ControlSolution(zero, zero, zero, 0.0, 0.0, 0, True, 0.0, [0.0])
 
     target = 1j * y
     f = np.zeros(g.shape, dtype=complex)
@@ -194,7 +188,7 @@ def solve_impulse_control(plan: PropagatorPlan, problem: ControlProblem,
                                               reached.values - y).real))
     cost = l2_norm(h1) ** 2 + l2_norm(h2) ** 2
     return ControlSolution(h1, h2, Field(g, f), terminal, cost, iterations,
-                           epsilon, converged, math.sqrt(rr), j_path)
+                           converged, math.sqrt(rr), j_path)
 
 
 @dataclass
@@ -222,10 +216,8 @@ def verify_control(plan: PropagatorPlan, problem: ControlProblem,
     diff = drift.values + reached.values - problem.u_target.values
     residual = math.sqrt(g.cell_volume * float(np.vdot(diff, diff).real))
     tnorm = l2_norm(problem.u_target)
-    sup = 0.0
-    for idx, h in ((1, solution.h1), (2, solution.h2)):
-        off = (1.0 - problem.mask(idx)) * h.values
-        sup = max(sup, math.sqrt(g.cell_volume * float(np.vdot(off, off).real)))
+    sup = max(math.sqrt(mass_in_region(h, 1.0 - problem.mask(idx)))
+              for idx, h in ((1, solution.h1), (2, solution.h2)))
     if solution.terminal_error > 0:
         factor = residual / solution.terminal_error
     else:

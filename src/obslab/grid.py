@@ -137,9 +137,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
-    def norm(self) -> float:
-        return l2_norm(self)
-
 
 def field_from_function(spec: GridSpec, fn) -> Field:
     """Sample fn(x1, ..., xn) on the grid."""
@@ -159,50 +156,34 @@ def inner(f: Field, g: Field) -> complex:
     return complex(f.grid.cell_volume * np.vdot(f.values, g.values))
 
 
-@dataclass(frozen=True)
-class RegionMask:
-    """Radial region; the boundary sphere |x| = radius belongs to the interior."""
-
-    kind: str  # "interior" | "exterior" | "all"
-    radius: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("interior", "exterior", "all"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.kind != "all" and self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-
-    @classmethod
-    def interior(cls, radius: float) -> "RegionMask":
-        return cls("interior", radius)
-
-    @classmethod
-    def exterior(cls, radius: float) -> "RegionMask":
-        return cls("exterior", radius)
-
-    @classmethod
-    def everything(cls) -> "RegionMask":
-        return cls("all")
-
-    def indicator(self, spec: GridSpec) -> np.ndarray:
-        if self.kind == "all":
-            return np.ones(spec.shape)
-        r2 = radius_squared(spec)
-        if self.kind == "interior":
-            return (r2 <= self.radius**2).astype(float)
-        return (r2 > self.radius**2).astype(float)
+def ball_weights(spec: GridSpec, radius: float, closed: bool = True) -> np.ndarray:
+    """The one spatial cutoff rule: float weights 1 on the lattice points of
+    the closed ball |x| <= radius (or of the open ball |x| < radius) and 0
+    elsewhere.  Every region mass and observation mask is built from it."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    r2 = radius_squared(spec)
+    inside = r2 <= radius**2 if closed else r2 < radius**2
+    return inside.astype(float)
 
 
-def mass_in_region(field: Field, mask: RegionMask) -> float:
-    """Squared L^2 norm restricted to the region."""
-    ind = mask.indicator(field.grid)
+def exterior_weights(spec: GridSpec, radius: float, closed: bool = True) -> np.ndarray:
+    """Weights of the complement of the ball: one minus ball_weights, built
+    in place, so |x| > radius by default."""
+    w = ball_weights(spec, radius, closed)
+    return np.subtract(1.0, w, out=w)
+
+
+def mass_in_region(field: Field, weights: np.ndarray) -> float:
+    """Squared L^2 norm of the field under region weights."""
     v = field.values
-    return float(field.grid.cell_volume * np.sum(ind * (v.real**2 + v.imag**2)))
+    return float(field.grid.cell_volume * np.sum(weights * (v.real**2 + v.imag**2)))
 
 
 def boundary_shell_mass(field: Field) -> float:
     """Mass in |x| > SHELL_FRACTION * L; the wrap-around monitor reads this."""
-    return mass_in_region(field, RegionMask.exterior(SHELL_FRACTION * field.grid.half_extent))
+    g = field.grid
+    return mass_in_region(field, exterior_weights(g, SHELL_FRACTION * g.half_extent))
 
 
 def support_radius(field: Field) -> float:

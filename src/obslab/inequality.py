@@ -2,9 +2,12 @@
 outgoing-state (Enss) localization, two-time observability and its sharpness.
 
 Conventions that matter here:
-  * Interior region masks include their boundary sphere, matching chi(|x|<=R).
-    The one exception is the propagation cone |x| < v t, which is taken open
-    so that v = 0 gives the empty region at every positive time.
+  * Every spatial cutoff comes from grid.ball_weights and every spectral one
+    from spectral.Interval, both closed: balls include their boundary sphere,
+    matching chi(|x|<=R), exteriors are one minus the closed ball, and
+    windows include both ends, matching chi(H<=delta).  The one exception is
+    the propagation cone |x| < v t, the open ball, so that v = 0 gives the
+    empty region at every positive time.
   * Group velocities follow the kinetic convention: the symbol kappa |xi|^s
     moves frequency xi at speed kappa * s * |xi|^{s-1}, so a certified energy
     floor theta gives the velocity floor kappa * s * theta^{(s-1)/s} --
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import LogLogFit, fit_or_nan, gram_operator_norm
-from .grid import (Field, RegionMask, axis_coordinates, boundary_shell_mass,
-                   concentrate, freq_radius_squared, l2_norm, mass_in_region,
-                   radius_squared)
+from .grid import (Field, axis_coordinates, ball_weights, boundary_shell_mass,
+                   concentrate, exterior_weights, freq_radius_squared, l2_norm,
+                   mass_in_region)
 from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
 from .propagate import PropagatorPlan, evolve, evolve_series, engine_cross_check
 from .spectral import (Interval, calculus, decompose_dilation, project_energy,
@@ -47,33 +50,28 @@ def group_velocity_floor(spec: HamiltonianSpec, theta: float) -> float:
 
 @dataclass
 class UncertaintyResult:
-    radius: float
-    threshold: float
     norm: float
     iterations: int
     residual: float
     converged: bool
-    method: str
 
 
 def uncertainty_norm(spec: HamiltonianSpec, radius: float,
                      threshold: float) -> UncertaintyResult:
     """||chi(|x| <= radius) chi(H <= threshold)|| by Lanczos on the Gram
     operator P chi P, P the spectral projector."""
-    window = Interval(-math.inf, threshold, include_hi=True)
+    window = Interval(-math.inf, threshold)
     calc = calculus(spec)
     if not window.contains(calc.spectrum).any():
-        return UncertaintyResult(radius, threshold, 0.0, 0, 0.0, True, "empty")
+        return UncertaintyResult(0.0, 0, 0.0, True)
     proj = calc.projector(window)
-    inside = (radius_squared(spec.grid) <= radius**2).ravel()
+    inside = ball_weights(spec.grid, radius).ravel()
 
     def gram(v: np.ndarray) -> np.ndarray:
-        w = np.where(inside, proj(v).ravel(), 0.0)
-        return proj(w).ravel()
+        return proj(inside * proj(v).ravel()).ravel()
 
     r = gram_operator_norm(gram, spec.grid.dofs)
-    return UncertaintyResult(radius, threshold, r.value, r.iterations,
-                             r.residual, r.converged, "lanczos")
+    return UncertaintyResult(r.value, r.iterations, r.residual, r.converged)
 
 
 def uncertainty_norm_dense(spec: HamiltonianSpec, radius: float,
@@ -84,15 +82,15 @@ def uncertainty_norm_dense(spec: HamiltonianSpec, radius: float,
     The eigenvectors are calculus(spec).columns: Fourier modes at any grid
     size for multiplier kinds, the dense eigenbasis (DENSE_LIMIT) otherwise.
     """
-    window = Interval(-math.inf, threshold, include_hi=True)
+    window = Interval(-math.inf, threshold)
     calc = calculus(spec)
     mask = window.contains(calc.spectrum)
     if not mask.any():
-        return UncertaintyResult(radius, threshold, 0.0, 0, 0.0, True, "empty")
-    inside = (radius_squared(spec.grid) <= radius**2).ravel()
+        return UncertaintyResult(0.0, 0, 0.0, True)
+    inside = np.flatnonzero(ball_weights(spec.grid, radius))
     thin = calc.columns(mask)[inside]
     top = float(np.linalg.svd(thin, compute_uv=False)[0])
-    return UncertaintyResult(radius, threshold, top, 0, 0.0, True, "svd")
+    return UncertaintyResult(top, 0, 0.0, True)
 
 
 @dataclass
@@ -203,8 +201,6 @@ class DecaySeries:
     times: np.ndarray
     values: np.ndarray                # interior masses or operator norms
     fit: LogLogFit
-    velocity: float
-    label: str = ""
     wrap_mass: float = 0.0
     cross_check: float | None = None
 
@@ -220,22 +216,18 @@ def minimal_velocity_decay(plan: PropagatorPlan, psi: Field, v: float, times,
     """
     spec = plan.hamiltonian
     if energy_window is not None:
-        defect = _window_defect(spec, Interval(*energy_window, include_hi=True), psi)
+        defect = _window_defect(spec, Interval(*energy_window), psi)
         if defect > LOCALIZATION_TOL:
             raise ValueError(f"psi is not localized in the energy window (defect {defect:.2e})")
     used, snaps = evolve_series(plan, psi, times)
-    r2 = radius_squared(spec.grid)
-    cell = spec.grid.cell_volume
     masses = np.empty(used.size)
     wrap = 0.0
     for i, (t, u) in enumerate(zip(used, snaps)):
-        strict_inside = r2 < (v * t) ** 2
-        vals = u.values
-        masses[i] = float(cell * np.sum(strict_inside * (vals.real**2 + vals.imag**2)))
+        masses[i] = mass_in_region(u, ball_weights(spec.grid, v * t, closed=False))
         wrap = max(wrap, boundary_shell_mass(u))
     fit = fit_or_nan(used, masses, floor=MASS_FIT_FLOOR)
     xc = engine_cross_check(plan, psi, float(used[len(used) // 2]))
-    return DecaySeries(used, masses, fit, v, "interior_mass", wrap, xc)
+    return DecaySeries(used, masses, fit, wrap, xc)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +370,12 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
         # a threshold above every A eigenvalue empties chi^+: a NaN fit
         fit = fit_or_nan(times, norms)
         const = float(np.max(norms * times**0.9))
-        results.append(DecaySeries(times, norms, fit, v, f"outgoing_norm(a={a})",
+        results.append(DecaySeries(times, norms, fit,
                                    cross_check=float(defects.max())))
         constants.append(const)
     ratio = max(constants) / min(constants) if min(constants) > 0 else math.inf
     stacked = np.max(np.stack([s.values for s in results]), axis=0)
-    max_series = DecaySeries(times, stacked, fit_or_nan(times, stacked), v,
-                             "outgoing_norm(max over a)")
+    max_series = DecaySeries(times, stacked, fit_or_nan(times, stacked))
     return EnssResult(list(a_values), results, constants, ratio, theta,
                       max_series)
 
@@ -392,12 +383,15 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
 # ---------------------------------------------------------------------------
 # two-time observability
 
+def second_observation_radius(spec: HamiltonianSpec, radius: float,
+                              sigma: float, gap: float) -> float:
+    """sigma gap / radius^{p-1}, p the scaling exponent of H: the radius
+    outside which the second observation, gap after the first, reads mass."""
+    return sigma * gap / radius ** (spec.s - 1.0)
+
+
 @dataclass
 class ObservabilityResult:
-    radius: float
-    t1: float
-    t2: float
-    sigma: float
     second_radius: float
     total_mass: float
     exterior_first: float
@@ -408,36 +402,42 @@ class ObservabilityResult:
     cross_check: float | None = None
 
 
-def observability_ratio(plan: PropagatorPlan, u0: Field, radius: float,
-                        t1: float, t2: float, sigma: float,
-                        _reduce: bool = True) -> ObservabilityResult:
-    """Observability constant for exterior observations at two times.
-
-    The first observation reads mass outside |x| <= radius at t1; the second
-    reads mass outside radius sigma (t2 - t1) / radius^{p-1} at t2, where p is
-    the scaling exponent of H.
-    """
-    if not t2 > t1 >= 0:
-        raise ValueError("need t2 > t1 >= 0")
-    spec = plan.hamiltonian
-    p = spec.s
-    gap = t2 - t1
-    r2 = sigma * gap / radius ** (p - 1.0)
-    used, snaps = evolve_series(plan, u0, [t1, t2])
-    ext1 = mass_in_region(snaps[0], RegionMask.exterior(radius))
-    ext2 = mass_in_region(snaps[1], RegionMask.exterior(r2))
+def _two_time_ratio(plan: PropagatorPlan, u0: Field, radius: float, r2: float,
+                    t1: float, t2: float):
+    """(total, ext1, ext2, ratio, snapshots at t1 and t2) for the exterior
+    observations |x| > radius at t1 and |x| > r2 at t2."""
+    g = plan.hamiltonian.grid
+    _, snaps = evolve_series(plan, u0, [t1, t2])
+    ext1 = mass_in_region(snaps[0], exterior_weights(g, radius))
+    ext2 = mass_in_region(snaps[1], exterior_weights(g, r2))
     total = l2_norm(u0) ** 2
     denom = ext1 + ext2
     ratio = total / denom if denom > 0 else math.inf
+    return total, ext1, ext2, ratio, snaps
+
+
+def observability_ratio(plan: PropagatorPlan, u0: Field, radius: float,
+                        t1: float, t2: float, sigma: float) -> ObservabilityResult:
+    """Observability constant for exterior observations at two times.
+
+    The first observation reads mass outside |x| <= radius at t1; the second
+    reads mass outside second_observation_radius at t2.  When t1 > 0 the
+    same constant is measured again from the state at t1 with the first
+    observation moved to time zero (reduction_deviation).
+    """
+    if not t2 > t1 >= 0:
+        raise ValueError("need t2 > t1 >= 0")
+    gap = t2 - t1
+    r2 = second_observation_radius(plan.hamiltonian, radius, sigma, gap)
+    total, ext1, ext2, ratio, snaps = _two_time_ratio(plan, u0, radius, r2, t1, t2)
     wrap = max(boundary_shell_mass(s) for s in snaps)
     reduction_dev = 0.0
-    if _reduce and t1 > 0:
-        shifted = observability_ratio(plan, snaps[0], radius, 0.0, gap, sigma,
-                                      _reduce=False)
-        reduction_dev = abs(shifted.ratio - ratio) / max(abs(ratio), 1e-300)
+    if t1 > 0:
+        shifted = _two_time_ratio(plan, snaps[0], radius, r2, 0.0, gap)[3]
+        reduction_dev = abs(shifted - ratio) / max(abs(ratio), 1e-300)
     xc = engine_cross_check(plan, u0, t2)
-    return ObservabilityResult(radius, float(used[0]), float(used[1]), sigma, r2,
-                               total, ext1, ext2, ratio, reduction_dev, wrap, xc)
+    return ObservabilityResult(r2, total, ext1, ext2, ratio, reduction_dev,
+                               wrap, xc)
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +458,15 @@ def sharpness_sequence(plan: PropagatorPlan, f: Field, ks, r1: float,
                        sigma: float, t: float) -> SharpnessTable:
     """Concentrating family f_k = U_k f: exterior mass at r1 and evolved
     interior mass inside sigma t, both of which should shrink with k."""
+    g = f.grid
     exterior = []
     interior = []
     wrap = 0.0
     for k in ks:
         fk = concentrate(f, int(k))
-        exterior.append(mass_in_region(fk, RegionMask.exterior(r1)))
+        exterior.append(mass_in_region(fk, exterior_weights(g, r1)))
         evolved = evolve(plan, fk, t)
-        interior.append(mass_in_region(evolved, RegionMask.interior(sigma * t)))
+        interior.append(mass_in_region(evolved, ball_weights(g, sigma * t)))
         wrap = max(wrap, boundary_shell_mass(evolved))
     exterior = np.asarray(exterior)
     interior = np.asarray(interior)

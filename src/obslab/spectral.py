@@ -41,26 +41,18 @@ def smooth_step(u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Interval:
-    """Spectral window [lo, hi); set include_hi for the closed right end.
-
-    The left end is always included, so adjacent windows sharing an endpoint
-    tile the spectrum without double counting.
-    """
+    """Closed spectral window [lo, hi]; the one spectral cutoff rule."""
 
     lo: float = -math.inf
     hi: float = math.inf
-    include_hi: bool = False
 
     def __post_init__(self):
         if not self.lo <= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi})")
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def contains(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
-        inside = (lam >= self.lo) & (lam < self.hi)
-        if self.include_hi:
-            inside |= lam == self.hi
-        return inside
+        return (lam >= self.lo) & (lam <= self.hi)
 
 
 def _stack_shape(grid: GridSpec, values: np.ndarray) -> tuple[int, ...]:
@@ -170,15 +162,12 @@ class EigenDecomposition(_Calculus):
         scale = 1.0 + np.abs(self.eigenvalues).max()
         return float(np.abs(r).max() / scale)
 
-    def projector_indices(self, interval: Interval) -> np.ndarray:
-        return np.nonzero(interval.contains(self.eigenvalues))[0]
-
     def projector(self, interval: Interval):
         """Column-subset form V_I V_I^H, which skips the eigenvectors outside I.
 
         The eigenvalues ascend, so V_I is one column range: a view of V.
         """
-        idx = self.projector_indices(interval)
+        idx = np.flatnonzero(interval.contains(self.eigenvalues))
         vi = self.vectors[:, idx[0]:idx[-1] + 1] if idx.size else self.vectors[:, :0]
         shape = self.grid.shape
         return lambda values: _dot(vi, _dot(vi.T, values.ravel().conj()).conj()).reshape(shape)

@@ -612,6 +612,27 @@ def test_wall_clock_seconds_survive_a_clock_stepping_back(tmp_path, monkeypatch)
     assert meta["wall_clock_seconds"] >= 0.0
 
 
+def test_run_facts_go_to_run_meta_not_the_report(tmp_path, monkeypatch):
+    path = write_config(tmp_path / "cfg.json", SMALL_UNCERTAINTY)
+    for var in cli.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert cli.run("uncertainty", path, str(tmp_path / "a")) == 0
+    for var in cli.THREAD_VARS:
+        monkeypatch.setenv(var, "5")     # restored after the test; main sets 2
+    assert cli.main(["uncertainty", "--config", path, "--out",
+                     str(tmp_path / "b"), "--threads", "2"]) == 0
+    a, b = (json.loads((tmp_path / d / "run_meta.json").read_text())
+            for d in "ab")
+    assert a["threads"] is None and b["threads"] == 2
+    assert a["thread_env"] == dict.fromkeys(cli.THREAD_VARS)
+    assert b["thread_env"] == dict.fromkeys(cli.THREAD_VARS, "2")
+    assert a["cpu_count"] == b["cpu_count"] == os.cpu_count()
+    assert a["numpy"] == b["numpy"] == np.__version__
+    assert filecmp.cmp(tmp_path / "a" / "report.json",
+                       tmp_path / "b" / "report.json", shallow=False)
+    assert a["report_sha256"] == b["report_sha256"]
+
+
 def test_main_env_output_override(tmp_path, monkeypatch):
     path = write_config(tmp_path / "cfg.json", SMALL_UNCERTAINTY)
     env_dir = tmp_path / "from_env"

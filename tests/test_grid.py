@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from obslab.grid import (Field, RegionMask, UnderResolvedError,
-                         axis_coordinates, axis_frequencies,
-                         boundary_shell_mass, concentrate,
-                         field_from_function, inner, l2_norm, make_grid,
-                         mass_in_region, radius_squared, support_radius)
+from obslab.grid import (Field, UnderResolvedError, axis_coordinates,
+                         axis_frequencies, ball_weights, boundary_shell_mass,
+                         concentrate, exterior_weights, field_from_function,
+                         inner, l2_norm, make_grid, mass_in_region,
+                         support_radius)
 
 
 def test_axis_coordinates_ascend_from_minus_l():
@@ -75,14 +75,25 @@ def test_gaussian_transform_has_reciprocal_width():
 
 
 def test_interior_mask_is_closed_exterior_is_strict():
-    g = make_grid(1, 4.0, 64)
-    x = axis_coordinates(g)
-    inside = RegionMask.interior(1.0).indicator(g)
-    outside = RegionMask.exterior(1.0).indicator(g)
-    np.testing.assert_array_equal(inside + outside, np.ones(g.shape))
-    assert inside[np.abs(x) == 1.0].all()
-    assert not outside[np.abs(x) == 1.0].any()
-    assert RegionMask.everything().indicator(g).all()
+    # spacing 0.125: x = (1, 0, ...) is a lattice point on the sphere |x| = 1
+    for g in (make_grid(1, 4.0, 64), make_grid(2, 4.0, 64)):
+        x = axis_coordinates(g)
+        on_sphere = (x.searchsorted(1.0),) + (x.searchsorted(0.0),) * (g.dim - 1)
+        assert x[on_sphere[0]] == 1.0
+        inside = ball_weights(g, 1.0)
+        outside = exterior_weights(g, 1.0)
+        cone = ball_weights(g, 1.0, closed=False)
+        assert inside.dtype == outside.dtype == cone.dtype == np.float64
+        assert inside[on_sphere] == 1.0
+        assert outside[on_sphere] == 0.0 and cone[on_sphere] == 0.0
+        np.testing.assert_array_equal(inside + outside, np.ones(g.shape))
+        # the cone differs from the closed ball exactly on the sphere
+        assert (inside - cone).sum() == (2 if g.dim == 1 else 4)
+        # radius 0: the closed ball is the origin, the open one is empty
+        assert ball_weights(g, 0.0).sum() == 1.0
+        assert exterior_weights(g, 0.0, closed=False).all()
+    with pytest.raises(ValueError, match="nonnegative"):
+        ball_weights(g, -1.0)
 
 
 def test_mass_in_region_splits_total():
@@ -90,8 +101,8 @@ def test_mass_in_region_splits_total():
     rng = np.random.default_rng(11)
     f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
     total = l2_norm(f) ** 2
-    lo = mass_in_region(f, RegionMask.interior(1.7))
-    hi = mass_in_region(f, RegionMask.exterior(1.7))
+    lo = mass_in_region(f, ball_weights(g, 1.7))
+    hi = mass_in_region(f, exterior_weights(g, 1.7))
     assert lo + hi == pytest.approx(total, rel=1e-12)
 
 

@@ -65,7 +65,7 @@ def test_velocity_floor_needs_positive_theta():
 def test_power_matches_dense_svd(free256):
     a = uncertainty_norm(free256, 1.0, 1.0)
     b = uncertainty_norm_dense(free256, 1.0, 1.0)
-    assert a.method == "lanczos" and b.method == "svd"
+    assert a.iterations > 0 and b.iterations == 0     # Lanczos, then SVD
     assert a.converged
     assert 0.0 < a.norm < 1.0
     assert abs(a.norm - b.norm) < 1e-6
@@ -73,11 +73,11 @@ def test_power_matches_dense_svd(free256):
 
 def test_empty_window_both_routes(free256):
     res = uncertainty_norm(free256, 1.0, -1.0)
-    assert res.norm == 0.0 and res.method == "empty"
+    assert res.norm == 0.0 and res.iterations == 0      # no Lanczos step
     pot = HamiltonianSpec(free256.grid, "potential",
                           potential=gaussian_potential(1.0))
     res = uncertainty_norm_dense(pot, 1.0, -5.0)
-    assert res.norm == 0.0 and res.method == "empty"
+    assert res.norm == 0.0        # an SVD of no columns would raise
 
 
 def test_scan_monotone_and_grouped(free256):
@@ -105,7 +105,7 @@ def test_band_state_unit_and_exact(free256):
     psi = frequency_band_state(free256, 1.0, 2.0, 0.3)
     nrm = math.sqrt(free256.grid.cell_volume * np.vdot(psi.values, psi.values).real)
     assert nrm == pytest.approx(1.0, abs=1e-12)
-    proj = project_energy(free256, Interval(0.9, 4.1, include_hi=True), psi)
+    proj = project_energy(free256, Interval(0.9, 4.1), psi)
     assert np.linalg.norm(proj.values - psi.values) < 1e-12
 
 
@@ -115,7 +115,7 @@ def test_band_state_rejects_wide_ramp(free256):
 
 
 def test_window_state_multiplier_passthrough(free256):
-    got = window_localized_state(free256, Interval(0.9, 4.1, include_hi=True),
+    got = window_localized_state(free256, Interval(0.9, 4.1),
                                  1.0, 2.0, 0.3)
     want = frequency_band_state(free256, 1.0, 2.0, 0.3)
     assert np.array_equal(got.values, want.values)
@@ -124,14 +124,14 @@ def test_window_state_multiplier_passthrough(free256):
 def test_window_state_dense_exact():
     g = make_grid(1, 16.0, 256)
     spec = HamiltonianSpec(g, "potential", potential=gaussian_potential(0.25))
-    window = Interval(1.0, 3.0, include_hi=True)
+    window = Interval(1.0, 3.0)
     psi = window_localized_state(spec, window, 1.1, 1.6, 0.2, energy_ramp=0.4)
     nrm = math.sqrt(g.cell_volume * np.vdot(psi.values, psi.values).real)
     assert nrm == pytest.approx(1.0, abs=1e-12)
     proj = project_energy(spec, window, psi)
     assert np.linalg.norm(proj.values - psi.values) < 1e-12
     with pytest.raises(ValueError, match="energy_ramp"):
-        window_localized_state(spec, Interval(1.0, 1.7, include_hi=True),
+        window_localized_state(spec, Interval(1.0, 1.7),
                                1.1, 1.6, 0.2, energy_ramp=0.4)
 
 
@@ -143,8 +143,6 @@ def test_interior_mass_decays():
     psi = frequency_band_state(spec, 1.2, 1.6, 0.15)
     ser = minimal_velocity_decay(plan, psi, 0.3, np.linspace(2.0, 8.0, 5),
                                  energy_window=(1.44, 2.56))
-    assert ser.label == "interior_mass"
-    assert ser.velocity == 0.3
     assert np.all(ser.values > 0.0)
     assert np.all(np.diff(ser.values) < 0.0)
     assert ser.fit.slope < -2.0

@@ -1,9 +1,14 @@
-"""Every public function and class of the library has a consumer.
+"""Every public function, class, method and property of the library has a
+consumer.
 
 A public top-level name counts as reached when some other part of
 src/obslab refers to it (as a name, an attribute or an import), or when
-perfbench/layertrace.py names it.  Library code that no experiment reaches
-either gets a consumer or gets deleted; the allowlist holds the exceptions.
+perfbench/layertrace.py names it.  Methods and properties of public classes
+are matched by attribute name too, but only on an object, not on an
+imported module (np.linalg.norm does not reach a norm method), and a plain
+method only where it is called, not where a field of that name is read.
+Library code that no experiment reaches either gets a consumer or gets
+deleted; the allowlist holds the exceptions.
 """
 
 import ast
@@ -15,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "apply_h": "matrix-free H f, the oracle that tests dense_matrix against",
     "field_from_function": "samples a callable on a grid; the tests' state builder",
+    "residual": "EigenDecomposition.residual, the tests' oracle for an eigenbasis",
 }
 
 
@@ -33,17 +39,51 @@ def _names(tree):
     return found
 
 
+def _module_aliases(tree):
+    """Names that `import x` and `import x as y` bind."""
+    return {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for a in node.names}
+
+
+def _member_refs(tree, modules):
+    """(read, called): attribute names read on an object rather than on an
+    imported module, and those of them that are called."""
+    def on_object(attr):
+        root = attr.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        return not (isinstance(root, ast.Name) and root.id in modules)
+
+    read, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and on_object(node):
+            read.add(node.attr)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and on_object(node.func)):
+            called.add(node.func.attr)
+    return read, called
+
+
+def _is_property(member):
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in member.decorator_list)
+
+
 def test_every_public_definition_is_reached():
     modules = {p: ast.parse(p.read_text(encoding="utf-8"))
                for p in sorted((ROOT / "src" / "obslab").glob("*.py"))}
     layertrace = _names(ast.parse(
         (ROOT / "perfbench" / "layertrace.py").read_text(encoding="utf-8")))
-    # references made by each top-level statement, so a definition's own
-    # body does not count for it
+    # references made by each top-level statement and by each member of a
+    # class, so a definition's own body does not count for it
     statements = [(stmt, _names(stmt)) for tree in modules.values()
                   for stmt in tree.body]
+    members = [(member, _member_refs(member, _module_aliases(tree)))
+               for tree in modules.values() for stmt in tree.body
+               for member in (stmt.body if isinstance(stmt, ast.ClassDef)
+                              else [stmt])]
     unreached = []
-    for path, tree in modules.items():
+    for tree in modules.values():
         for stmt in tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
@@ -54,5 +94,16 @@ def test_every_public_definition_is_reached():
                 name in refs for other, refs in statements if other is not stmt)
             if not used:
                 unreached.append(name)
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            for member in stmt.body:
+                if (not isinstance(member, ast.FunctionDef)
+                        or member.name.startswith("_")):
+                    continue
+                # a property is used where it is read, a method where called
+                which = 0 if _is_property(member) else 1
+                if not any(member.name in refs[which]
+                           for other, refs in members if other is not member):
+                    unreached.append(member.name)
     # an allowlisted name that gains a consumer, or goes, leaves the list
     assert sorted(unreached) == sorted(ALLOWED)

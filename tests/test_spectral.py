@@ -36,12 +36,28 @@ def test_smooth_step_flat_to_all_orders_at_ends():
     assert smooth_step(np.array([1 - 1e-3]))[0] == 1.0
 
 
-def test_interval_membership_and_tiling():
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
+def test_closed_window_includes_both_ends(dim, points):
     w = Interval(1.0, 2.0)
-    assert w.contains(1.0) and not w.contains(2.0)
-    assert Interval(1.0, 2.0, include_hi=True).contains(2.0)
+    assert w.contains(1.0) and w.contains(2.0)
+    assert not w.contains(np.nextafter(2.0, 3.0))
+    assert not w.contains(np.nextafter(1.0, 0.0))
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+    # eigenvectors at both end eigenvalues pass the projector unchanged, the
+    # next one past either end is removed, for both calculi
+    g = make_grid(dim, 4.0, points)
+    for spec in (HamiltonianSpec.free(g),
+                 HamiltonianSpec.with_potential(g, gaussian_potential(1.0))):
+        calc = calculus(spec)
+        levels = np.unique(calc.spectrum)
+        project = calc.projector(Interval(levels[2], levels[5]))
+        for level, kept in ((levels[2], True), (levels[5], True),
+                            (levels[1], False), (levels[6], False)):
+            for col in calc.columns(calc.spectrum == level).T:
+                got = project(col.reshape(g.shape)).ravel()
+                np.testing.assert_allclose(got, col if kept else 0.0,
+                                           atol=1e-10)
 
 
 def test_projector_is_idempotent_and_hermitian():
@@ -57,17 +73,6 @@ def test_projector_is_idempotent_and_hermitian():
     lhs = np.vdot(pf.values, h.values)
     rhs = np.vdot(f.values, project_energy(spec, w, h).values)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_adjacent_windows_tile_without_double_counting():
-    g = make_grid(1, 8.0, 256)
-    spec = HamiltonianSpec.free(g)
-    rng = np.random.default_rng(4)
-    f = Field(g, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    a = project_energy(spec, Interval(0.0, 1.0), f)
-    b = project_energy(spec, Interval(1.0, 4.0), f)
-    both = project_energy(spec, Interval(0.0, 4.0), f)
-    np.testing.assert_allclose(a.values + b.values, both.values, atol=1e-13)
 
 
 def test_multiplier_and_dense_routes_agree():
@@ -92,8 +97,9 @@ def test_eigendecomposition_residual_and_indices():
     eig = decompose_hamiltonian(spec)
     assert eig.residual(dense_matrix(spec)) <= 1e-12
     assert (np.diff(eig.eigenvalues) >= 0).all()
-    idx = eig.projector_indices(Interval(0.0, 1.0))
-    assert ((eig.eigenvalues[idx] >= 0) & (eig.eigenvalues[idx] < 1)).all()
+    idx = np.flatnonzero(Interval(0.0, 1.0).contains(eig.eigenvalues))
+    assert idx.size and (np.diff(idx) == 1).all()      # one column range
+    assert ((eig.eigenvalues[idx] >= 0) & (eig.eigenvalues[idx] <= 1)).all()
 
 
 def test_eigen_projector_subset_form_matches_mask():
@@ -162,7 +168,7 @@ def test_real_basis_calculus_matches_complex_matmul():
     np.testing.assert_allclose(eig.forward(f), v.conj().T @ f, rtol=0, atol=1e-13)
     np.testing.assert_allclose(eig.backward(f), v @ f, rtol=0, atol=1e-13)
     w = Interval(0.5, 4.0)
-    vi = v[:, eig.projector_indices(w)]
+    vi = v[:, w.contains(eig.eigenvalues)]
     np.testing.assert_allclose(eig.projector(w)(f), vi @ (vi.conj().T @ f),
                                rtol=0, atol=1e-13)
 
