@@ -62,15 +62,13 @@ _GRID_SCHEMA = {
 _HAMILTONIAN_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["free", "fractional", "potential", "inverse_square"]},
+        "kind": {"enum": ["free", "fractional", "potential"]},
         "s": {"type": "number", "minimum": 1},
-        "c": {"type": "number"},
         "potential": {
             "type": "object",
             "properties": {
-                "form": {"enum": ["gaussian", "ball", "zero"]},
+                "form": {"enum": ["gaussian"]},
                 "amplitude": {"type": "number"},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["form"],
             "additionalProperties": False,
@@ -194,7 +192,6 @@ _PARAM_SCHEMAS = {
             "radius": {"type": "number", "minimum": 0},
             "sigma": {"type": "number", "exclusiveMinimum": 0},
             "epsilons": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
-            "adjoint_probes": {"type": "integer", "minimum": 1},
         },
         "required": ["initial", "target", "tau1", "tau2", "horizon",
                      "radius", "sigma", "epsilons"],
@@ -210,7 +207,6 @@ _PARAM_SCHEMAS = {
             "profile_scale": {"type": "number", "exclusiveMinimum": 0},
             "shift": {"type": "number"},
             "ns": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 5},
-            "quadrature_samples": {"type": "integer", "minimum": 1024},
         },
         "required": ["profile_scale", "shift", "ns"],
         "additionalProperties": False,
@@ -315,7 +311,6 @@ _CANNED = {
             "radius": 0.0,
             "sigma": 1.0,
             "epsilons": [1e-2, 1e-4, 1e-6],
-            "adjoint_probes": 16,
         },
     },
     "commutator": {
@@ -324,7 +319,6 @@ _CANNED = {
             "profile_scale": 2.0,
             "shift": 1.0,
             "ns": [8, 16, 32, 64, 128],
-            "quadrature_samples": 65536,
         },
     },
     "suite": {},
@@ -379,22 +373,20 @@ def _validate(instance, experiment: str) -> None:
         raise error
 
 
-# Hamiltonian keys that only one kind, or some potential forms, read
-_KIND_KEYS = {"s": "fractional", "c": "inverse_square", "potential": "potential"}
-_FORM_KEYS = {"amplitude": ("gaussian", "ball"), "radius": ("ball",)}
+# Hamiltonian keys that only one kind reads
+_KIND_KEYS = {"s": "fractional", "potential": "potential"}
 
 
 def _check_hamiltonian_keys(h: dict) -> None:
-    """Reject a key that the chosen kind or potential form never reads."""
+    """Reject a key that the chosen kind never reads, and a potential kind
+    without its potential."""
     for key, kind in _KIND_KEYS.items():
         if key in h and h["kind"] != kind:
             raise ValueError(f"hamiltonian key {key!r} applies to kind "
                              f"{kind!r} only, not {h['kind']!r}")
-    pot = h.get("potential", {})
-    for key, forms in _FORM_KEYS.items():
-        if key in pot and pot["form"] not in forms:
-            raise ValueError(f"potential key {key!r} is not read by form "
-                             f"{pot['form']!r}")
+    if h["kind"] == "potential" and "potential" not in h:
+        raise ValueError("hamiltonian kind 'potential' needs the key "
+                         "'potential'")
 
 
 def _check_commutator_grid(cfg: dict) -> None:
@@ -412,8 +404,8 @@ def _check_commutator_grid(cfg: dict) -> None:
 
 def resolve_config(experiment: str, overlay: dict) -> dict:
     """Canned defaults overlaid with `overlay`.  A key the experiment never
-    reads, a schema error, or a Hamiltonian key that the chosen kind or form
-    never reads raises."""
+    reads, a schema error, or a Hamiltonian key that the chosen kind never
+    reads raises."""
     # the round trip deep-copies, so the result shares nothing with
     # DEFAULTS or the overlay
     merged = json.loads(json.dumps(_deep_merge(DEFAULTS[experiment], overlay)))
@@ -517,8 +509,7 @@ def _verdict(name, measured, threshold, comparison, anchor):
 
 def _hamiltonian_from(cfg):
     from .grid import make_grid
-    from .hamiltonian import (HamiltonianSpec, ball_potential,
-                              gaussian_potential, zero_potential)
+    from .hamiltonian import HamiltonianSpec, gaussian_potential
 
     g = cfg["grid"]
     grid = make_grid(g["dim"], g["half_extent"], g["points_per_axis"])
@@ -529,17 +520,7 @@ def _hamiltonian_from(cfg):
         return HamiltonianSpec.free(grid, convention=conv)
     if kind == "fractional":
         return HamiltonianSpec.fractional(grid, h.get("s", 2.0), convention=conv)
-    if kind == "inverse_square":
-        return HamiltonianSpec.inverse_square(grid, h.get("c", 0.0), convention=conv)
-    pot_cfg = h.get("potential", {"form": "zero"})
-    form = pot_cfg["form"]
-    if form == "gaussian":
-        pot = gaussian_potential(pot_cfg.get("amplitude", 1.0))
-    elif form == "ball":
-        pot = ball_potential(pot_cfg.get("amplitude", 1.0),
-                             pot_cfg.get("radius", 1.0))
-    else:
-        pot = zero_potential()
+    pot = gaussian_potential(h["potential"].get("amplitude", 1.0))
     return HamiltonianSpec.with_potential(grid, pot, convention=conv)
 
 
@@ -586,16 +567,19 @@ def _run_uncertainty(cfg, spec):
 
     scan = uncertainty_scan(spec, p["radii"], p["thresholds"])
     single = p["single"]
-    power = uncertainty_norm(spec, single["radius"], single["threshold"])
+    lanczos = uncertainty_norm(spec, single["radius"], single["threshold"])
     dense = uncertainty_norm_dense(spec, single["radius"], single["threshold"])
 
     tol = p["collapse_tolerance"]
     verdicts = [
-        _verdict("power_vs_dense", abs(power.norm - dense.norm), 1e-6, "<=",
+        _verdict("lanczos_vs_dense", abs(lanczos.value - dense), 1e-6, "<=",
                  "matrix-free Lanczos on the Gram operator reproduces the "
                  "dense singular value of the ball-times-band projector "
                  "product"),
-        _verdict("norm_below_one", dense.norm, 1.0, "<",
+        _verdict("lanczos_residual", lanczos.residual, 1e-10, "<=",
+                 "the Lanczos norm is an extreme Ritz value certified by its "
+                 "residual"),
+        _verdict("norm_below_one", dense, 1.0, "<",
                  "no state concentrates fully in both a ball and a bounded "
                  "energy band"),
         _verdict("monotone_scan", scan.monotone_violations, 0, "==",
@@ -613,9 +597,10 @@ def _run_uncertainty(cfg, spec):
         "invariant_exponent": scan.invariant_exponent,
         "collapse_spread": scan.collapse_spread,
         "single": {"radius": single["radius"], "threshold": single["threshold"],
-                   "power_norm": power.norm, "dense_norm": dense.norm,
-                   "power_iterations": power.iterations,
-                   "power_converged": power.converged},
+                   "lanczos_norm": lanczos.value, "dense_norm": dense,
+                   "lanczos_iterations": lanczos.iterations,
+                   "lanczos_residual": lanczos.residual,
+                   "lanczos_converged": lanczos.converged},
     }
     rr, tt, nn = [], [], []
     for i, r in enumerate(scan.radii):
@@ -841,8 +826,7 @@ def _run_control(cfg, spec, plan):
     problem = ControlProblem(spec, u0, u_t, p["tau1"], p["tau2"],
                              p["horizon"], p["radius"], p["sigma"]).snapped_to(plan)
 
-    adjoint = adjoint_defect(plan, problem, probes=p.get("adjoint_probes", 16),
-                             seed=cfg["seed"])
+    adjoint = adjoint_defect(plan, problem, seed=cfg["seed"])
 
     drift = evolve(plan, u0, problem.horizon)
     zero_problem = ControlProblem(spec, u0, drift, problem.tau1, problem.tau2,
@@ -880,6 +864,9 @@ def _run_control(cfg, spec, plan):
                  "terminal accuracy monotonically"),
         _verdict("cg_objective_monotone", j_monotone, True, "==",
                  "the conjugate-gradient dual objective never increases"),
+        _verdict("cg_converged", all(s.converged for s in path), True, "==",
+                 "every conjugate-gradient solve on the regularization path "
+                 "met its residual tolerance"),
         _verdict("cross_engine_residual", check.within_factor, 2.0, "<=",
                  "an independent engine reproduces the solver's terminal "
                  "error up to a factor of two"),
@@ -923,8 +910,7 @@ def _run_commutator(cfg):
     exp = momentum_pair(g["half_extent"], g["points_per_axis"],
                         p["profile_scale"], p["shift"], tuple(p["ns"]))
     fit = scaling_fit(exp)
-    bump = derivative_bump_scaling(tuple(p["ns"]),
-                                   p.get("quadrature_samples", 65536))
+    bump = derivative_bump_scaling(tuple(p["ns"]))
     residuals = [r.residual for r in (*fit.runs, fit.m_ab_run)]
     verdicts = [
         _verdict("decay_slope", fit.slope, -0.70, "<=",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,12 +67,20 @@ class ControlProblem:
         t1, t2 = snap_times(plan, [self.tau1, self.tau2]).tolist()
         return replace(self, tau1=t1, tau2=t2)
 
+    @cached_property
+    def _masks(self) -> tuple[np.ndarray, np.ndarray]:
+        masks = []
+        for r in (self.radius, self.second_radius):
+            m = exterior_weights(self.hamiltonian.grid, r, closed=r > 0)
+            m.flags.writeable = False
+            masks.append(m)
+        return tuple(masks)
+
     def mask(self, index: int) -> np.ndarray:
-        """Weights of the region |x| > r_index, one minus the closed ball; at
-        radius 0 the removed ball is open, hence empty, and the region is
-        everything."""
-        r = self.radius if index == 1 else self.second_radius
-        return exterior_weights(self.hamiltonian.grid, r, closed=r > 0)
+        """Read-only weights of the region |x| > r_index, one minus the closed
+        ball; at radius 0 the removed ball is open, hence empty, and the
+        region is everything.  Built once per problem."""
+        return self._masks[index - 1]
 
 
 def apply_observation(plan: PropagatorPlan, problem: ControlProblem,

@@ -1,10 +1,12 @@
 """Hamiltonians H = kinetic multiplier + real potential, and the virial check.
 
 Kinds:
-  free            kinetic only, symbol kappa * |xi|^2
-  fractional      symbol kappa * |xi|^s, s >= 1
-  potential       free kinetic plus a pointwise real potential
-  inverse_square  kinetic minus c / (|x|^2 + rho^2), rho = 2 * spacing
+  free        kinetic only, symbol kappa * |xi|^2
+  fractional  symbol kappa * |xi|^s, s >= 1
+  potential   free kinetic plus a pointwise real potential V, sampled from a
+              PotentialSpec; the one form the lab builds is the Gaussian
+              a exp(-|x|^2), and min_virial checks the repulsive hypothesis
+              -x.grad V >= 0 that the minimal velocity estimates assume
 
 kappa is 1 under the "full" kinetic convention (-Delta) and 1/2 under "half"
 (-Delta/2).  The half convention is the one under which i[H, A] = 2H for the
@@ -20,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import (Field, GridSpec, axis_coordinates, axis_frequencies,
-                   freq_radius_squared, radius_squared, _meshed)
+                   freq_radius_squared, _meshed)
 
 CONVENTIONS = ("full", "half")
 
@@ -32,12 +34,7 @@ DENSE_LIMIT = 4096
 class PotentialSpec:
     """Real potential sampled from a callable V(x1, ..., xn)."""
 
-    name: str
     fn: Callable
-
-
-def zero_potential() -> PotentialSpec:
-    return PotentialSpec("zero", lambda *axes: np.zeros(np.broadcast(*axes).shape) if len(axes) > 1 else np.zeros_like(axes[0]))
 
 
 def gaussian_potential(amplitude: float) -> PotentialSpec:
@@ -47,17 +44,7 @@ def gaussian_potential(amplitude: float) -> PotentialSpec:
         r2 = sum(a**2 for a in axes)
         return amplitude * np.exp(-r2)
 
-    return PotentialSpec(f"gaussian({amplitude})", fn)
-
-
-def ball_potential(amplitude: float = 1.0, radius: float = 1.0) -> PotentialSpec:
-    """amplitude times the indicator of the ball |x| <= radius."""
-
-    def fn(*axes):
-        r2 = sum(a**2 for a in axes)
-        return amplitude * (r2 <= radius**2).astype(float)
-
-    return PotentialSpec(f"ball({amplitude},{radius})", fn)
+    return PotentialSpec(fn)
 
 
 @dataclass(frozen=True)
@@ -65,12 +52,11 @@ class HamiltonianSpec:
     grid: GridSpec
     kind: str = "free"
     s: float = 2.0          # symbol exponent = scaling degree; 2 except for fractional
-    c: float = 0.0          # inverse-square coupling
     potential: PotentialSpec | None = None
     convention: str = "full"
 
     def __post_init__(self):
-        if self.kind not in ("free", "fractional", "potential", "inverse_square"):
+        if self.kind not in ("free", "fractional", "potential"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
@@ -78,10 +64,6 @@ class HamiltonianSpec:
             raise ValueError(f"fractional exponent must satisfy s >= 1, got {self.s}")
         if self.kind != "fractional" and self.s != 2.0:
             raise ValueError("only fractional Hamiltonians take a custom exponent")
-        if self.kind == "inverse_square":
-            bound = (self.grid.dim - 2) ** 2 / 4.0
-            if not self.c < bound:
-                raise ValueError(f"inverse-square coupling must satisfy c < {bound}")
         if self.kind == "potential" and self.potential is None:
             raise ValueError("potential kind needs a PotentialSpec")
 
@@ -97,10 +79,6 @@ class HamiltonianSpec:
     def with_potential(cls, grid: GridSpec, potential: PotentialSpec,
                        convention: str = "full") -> "HamiltonianSpec":
         return cls(grid, "potential", potential=potential, convention=convention)
-
-    @classmethod
-    def inverse_square(cls, grid: GridSpec, c: float, convention: str = "full") -> "HamiltonianSpec":
-        return cls(grid, "inverse_square", c=c, convention=convention)
 
     @property
     def kinetic_prefactor(self) -> float:
@@ -125,10 +103,7 @@ def kinetic_symbol(spec: HamiltonianSpec) -> np.ndarray:
 @lru_cache(maxsize=16)
 def potential_on_grid(spec: HamiltonianSpec) -> np.ndarray:
     g = spec.grid
-    if spec.kind == "inverse_square":
-        rho = 2.0 * g.spacing
-        v = -spec.c / (radius_squared(g) + rho**2)
-    elif spec.kind == "potential":
+    if spec.kind == "potential":
         x = axis_coordinates(g)
         axes = [_meshed(x, g.dim, ax) for ax in range(g.dim)]
         v = np.broadcast_to(np.asarray(spec.potential.fn(*axes), dtype=float), g.shape).copy()
@@ -143,7 +118,7 @@ def apply_h(spec: HamiltonianSpec, field: Field) -> Field:
     if field.grid != spec.grid:
         raise ValueError("field grid does not match Hamiltonian grid")
     out = np.fft.ifftn(kinetic_symbol(spec) * np.fft.fftn(field.values))
-    if spec.kind in ("potential", "inverse_square"):
+    if spec.kind == "potential":
         out += potential_on_grid(spec) * field.values
     return Field(spec.grid, out)
 
@@ -219,6 +194,6 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(rev, g.shape)
     rows = tuple(slice(m - 1, None, -1) for m in g.shape)
     h = np.array(windows[rows]).reshape(n, n)
-    if spec.kind in ("potential", "inverse_square"):
+    if spec.kind == "potential":
         h[np.diag_indices(n)] += potential_on_grid(spec).ravel()
     return h

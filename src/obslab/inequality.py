@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import LogLogFit, fit_or_nan, gram_operator_norm
+from .estimate import LogLogFit, PowerResult, fit_or_nan, gram_operator_norm
 from .grid import (Field, axis_coordinates, ball_weights, boundary_shell_mass,
                    concentrate, exterior_weights, freq_radius_squared, l2_norm,
                    mass_in_region)
@@ -48,34 +48,26 @@ def group_velocity_floor(spec: HamiltonianSpec, theta: float) -> float:
 # ---------------------------------------------------------------------------
 # uncertainty norms ||chi(|x| <= R) chi(H <= delta)||
 
-@dataclass
-class UncertaintyResult:
-    norm: float
-    iterations: int
-    residual: float
-    converged: bool
-
-
 def uncertainty_norm(spec: HamiltonianSpec, radius: float,
-                     threshold: float) -> UncertaintyResult:
+                     threshold: float) -> PowerResult:
     """||chi(|x| <= radius) chi(H <= threshold)|| by Lanczos on the Gram
-    operator P chi P, P the spectral projector."""
+    operator P chi P, P the spectral projector; an empty window gives the
+    exact zero after no iteration."""
     window = Interval(-math.inf, threshold)
     calc = calculus(spec)
     if not window.contains(calc.spectrum).any():
-        return UncertaintyResult(0.0, 0, 0.0, True)
+        return PowerResult(0.0, 0, 0.0, True)
     proj = calc.projector(window)
     inside = ball_weights(spec.grid, radius).ravel()
 
     def gram(v: np.ndarray) -> np.ndarray:
         return proj(inside * proj(v).ravel()).ravel()
 
-    r = gram_operator_norm(gram, spec.grid.dofs)
-    return UncertaintyResult(r.value, r.iterations, r.residual, r.converged)
+    return gram_operator_norm(gram, spec.grid.dofs)
 
 
 def uncertainty_norm_dense(spec: HamiltonianSpec, radius: float,
-                           threshold: float) -> UncertaintyResult:
+                           threshold: float) -> float:
     """SVD oracle for the same norm: the top singular value of the window's
     eigenvectors restricted to the ball.
 
@@ -86,11 +78,10 @@ def uncertainty_norm_dense(spec: HamiltonianSpec, radius: float,
     calc = calculus(spec)
     mask = window.contains(calc.spectrum)
     if not mask.any():
-        return UncertaintyResult(0.0, 0, 0.0, True)
+        return 0.0
     inside = np.flatnonzero(ball_weights(spec.grid, radius))
     thin = calc.columns(mask)[inside]
-    top = float(np.linalg.svd(thin, compute_uv=False)[0])
-    return UncertaintyResult(top, 0, 0.0, True)
+    return float(np.linalg.svd(thin, compute_uv=False)[0])
 
 
 @dataclass
@@ -115,7 +106,7 @@ def uncertainty_scan(spec: HamiltonianSpec, radii, thresholds) -> UncertaintySca
     norms = np.zeros((radii.size, thresholds.size))
     for i, r in enumerate(radii):
         for j, d in enumerate(thresholds):
-            norms[i, j] = uncertainty_norm_dense(spec, r, d).norm
+            norms[i, j] = uncertainty_norm_dense(spec, r, d)
 
     violations = 0
     slack = 1e-9

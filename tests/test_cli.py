@@ -1,6 +1,7 @@
 """Config loading, deterministic emission, exit codes, entry-point plumbing."""
 
 import filecmp
+import functools
 import hashlib
 import importlib.util
 import json
@@ -103,19 +104,33 @@ def test_experiment_name_must_match(tmp_path):
 
 
 class _Recording(dict):
-    """A config that notes every top-level key read from it."""
+    """A config that notes the path of every leaf read from it, at any depth:
+    a nested object comes back wrapped, so the leaves under it are noted."""
 
-    def __init__(self, cfg, seen):
+    def __init__(self, cfg, seen, path=()):
         super().__init__(cfg)
-        self.seen = seen
+        self.seen, self.path = seen, path
+
+    def _read(self, key, value):
+        path = self.path + (key,)
+        if isinstance(value, dict):
+            return _Recording(value, self.seen, path)
+        self.seen.add(path)
+        return value
 
     def __getitem__(self, key):
-        self.seen.add(key)
-        return super().__getitem__(key)
+        return self._read(key, super().__getitem__(key))
 
     def get(self, key, default=None):
-        self.seen.add(key)
-        return super().get(key, default)
+        return self[key] if key in self else default
+
+
+def _leaf_paths(cfg, path=()):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
 
 
 # small overlays where the canned run is slow; which keys a run reads does
@@ -127,22 +142,31 @@ _QUICK = {
     "sharpness": {"grid": {"half_extent": 8.0, "points_per_axis": 2048}},
     "commutator": {"grid": {"points_per_axis": 1024},
                    "parameters": {"ns": [6, 12, 24, 48, 64],
-                                  "profile_scale": 3.0,
-                                  "quadrature_samples": 4096}},
+                                  "profile_scale": 3.0}},
 }
+
+# the minimal-velocity state picks which keys the run reads: energy_ramp
+# only shapes a window state, so the leaves read are those of both states
+_STATES = {"minimal-velocity": ({}, {"parameters": {"state": "window"}})}
 
 
 @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
 def test_a_run_reads_exactly_its_canned_keys(experiment, monkeypatch):
-    # execute and the runner together read every key of the resolved canned
+    # execute and the runner together read every leaf of the resolved canned
     # config ("seed" aside, which every config carries) and no other
     monkeypatch.setattr(acceptance, "CRITERIA", ())
     seen = set()
-    cfg = cli.resolve_config(experiment, _QUICK.get(experiment, {}))
-    cli.execute(_Recording(cfg, seen))
-    canned = set(cli.resolve_config(experiment, {}))
-    assert seen | {"seed"} == canned
-    assert canned == {"experiment", "seed", *cli.READS[experiment]}
+    for state in _STATES.get(experiment, ({},)):
+        cfg = cli.resolve_config(
+            experiment, cli._deep_merge(_QUICK.get(experiment, {}), state))
+        recording = _Recording(cfg, seen)
+        if experiment == "commutator":
+            # resolve_config's check is what reads grid.dim: it must be 1
+            cli._check_commutator_grid(recording)
+        cli.execute(recording)
+    canned = cli.resolve_config(experiment, {})
+    assert seen | {("seed",)} == set(_leaf_paths(canned))
+    assert set(canned) == {"experiment", "seed", *cli.READS[experiment]}
 
 
 @pytest.mark.parametrize("experiment, overlay", [
@@ -174,28 +198,34 @@ def test_keys_the_run_would_ignore_exit_1_and_write_nothing(
 
 
 def test_hamiltonian_keys_the_run_would_ignore_are_rejected(tmp_path, capsys):
-    # each key is one the chosen kind or potential form never reads
+    # each key is one the chosen kind never reads, one no kind reads, or a
+    # potential kind's missing potential
     planted = [
-        {"kind": "free", "s": 3.0},
-        {"kind": "fractional", "s": 1.0, "c": 0.1},
-        {"kind": "free", "potential": {"form": "gaussian"}},
-        {"kind": "potential", "potential": {"form": "zero", "amplitude": 1.0}},
-        {"kind": "potential", "potential": {"form": "gaussian", "radius": 1.0}},
+        ({"kind": "free", "s": 3.0}, "applies to kind 'fractional'"),
+        ({"kind": "fractional", "s": 1.0, "c": 0.1}, "'c' was unexpected"),
+        ({"kind": "free", "c": -0.1}, "'c' was unexpected"),
+        ({"kind": "free", "potential": {"form": "gaussian"}},
+         "applies to kind 'potential'"),
+        ({"kind": "potential", "potential": {"form": "zero"}},
+         "'zero' is not one of"),
+        ({"kind": "potential", "potential": {"form": "ball", "amplitude": 1.0}},
+         "'ball' is not one of"),
+        ({"kind": "potential", "potential": {"form": "gaussian", "radius": 1.0}},
+         "'radius' was unexpected"),
+        ({"kind": "potential"}, "needs the key 'potential'"),
     ]
-    for i, hamiltonian in enumerate(planted):
+    for i, (hamiltonian, message) in enumerate(planted):
         path = write_config(tmp_path / f"cfg{i}.json", {
             "grid": {"dim": 1, "half_extent": 32.0, "points_per_axis": 256},
             "hamiltonian": hamiltonian})
         out = tmp_path / f"out{i}"
         assert cli.run("uncertainty", path, str(out)) == 1
         assert not out.exists()
-        assert " key " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     # the same keys where they are read
     for hamiltonian in ({"kind": "fractional", "s": 3.0},
-                        {"kind": "inverse_square", "c": -0.1},
                         {"kind": "potential",
-                         "potential": {"form": "ball", "amplitude": 0.5,
-                                       "radius": 2.0}}):
+                         "potential": {"form": "gaussian", "amplitude": 0.5}}):
         cfg = cli.resolve_config("uncertainty", {"hamiltonian": hamiltonian})
         assert cfg["hamiltonian"] == {"convention": "full", **hamiltonian}
 
@@ -286,8 +316,8 @@ def test_run_writes_deterministic_outputs(tmp_path):
     assert report["pass"] is True
     assert report["version"] == __version__
     names = [v["name"] for v in report["verdicts"]]
-    assert names == ["power_vs_dense", "norm_below_one", "monotone_scan",
-                     "scaling_collapse"]
+    assert names == ["lanczos_vs_dense", "lanczos_residual", "norm_below_one",
+                     "monotone_scan", "scaling_collapse"]
     with open(out1 / "scan.csv", encoding="utf-8") as fh:
         assert fh.readline().rstrip("\n") == "radius,threshold,norm"
         assert len(fh.readlines()) == 4
@@ -414,8 +444,7 @@ def test_repulsive_hypothesis_gates_potential_runs(tmp_path):
 
 
 def test_repulsive_hypothesis_absent_for_other_kinds():
-    for hamiltonian in ({"kind": "free"}, {"kind": "fractional", "s": 1.0},
-                        {"kind": "inverse_square", "c": -0.1}):
+    for hamiltonian in ({"kind": "free"}, {"kind": "fractional", "s": 1.0}):
         cfg = cli.resolve_config("uncertainty", {**SMALL_UNCERTAINTY,
                                                  "hamiltonian": hamiltonian})
         _, verdicts, _, _ = cli.execute(cfg)
@@ -434,7 +463,42 @@ def test_failed_verdict_still_reports(tmp_path):
     assert report["pass"] is False
     by_name = {v["name"]: v for v in report["verdicts"]}
     assert by_name["scaling_collapse"]["pass"] is False
-    assert by_name["power_vs_dense"]["pass"] is True
+    assert by_name["lanczos_vs_dense"]["pass"] is True
+
+
+def _starved_run(tmp_path, monkeypatch, module, solver, experiment, overlay):
+    # cap the solver at two iterations; the run still completes and reports
+    monkeypatch.setattr(module, solver,
+                        functools.partial(getattr(module, solver), max_iter=2))
+    out = tmp_path / "out"
+    assert cli.run(experiment, write_config(tmp_path / "cfg.json", overlay),
+                   str(out)) == 2
+    report = json.loads((out / "report.json").read_text())
+    return report, {v["name"]: v for v in report["verdicts"]}
+
+
+def test_capped_lanczos_fails_the_uncertainty_residual_verdict(tmp_path,
+                                                               monkeypatch):
+    from obslab import estimate
+    report, by_name = _starved_run(tmp_path, monkeypatch, estimate,
+                                   "hermitian_operator_norm", "uncertainty",
+                                   SMALL_UNCERTAINTY)
+    single = report["results"]["single"]
+    assert single["lanczos_iterations"] == 2
+    assert single["lanczos_converged"] is False
+    assert by_name["lanczos_residual"]["measured"] == single["lanczos_residual"]
+    assert by_name["lanczos_residual"]["pass"] is False
+
+
+def test_capped_cg_fails_the_control_convergence_verdict(tmp_path, monkeypatch):
+    # radius 1 masks the observation, so CG needs about 8 iterations
+    from obslab import control
+    report, by_name = _starved_run(tmp_path, monkeypatch, control,
+                                   "solve_impulse_control", "control",
+                                   {"parameters": {"radius": 1.0}})
+    assert report["results"]["iterations"] == [2, 2, 2]
+    assert report["results"]["converged"] == [False, False, False]
+    assert by_name["cg_converged"]["pass"] is False
 
 
 def test_schema_violation_writes_nothing(tmp_path, capsys):

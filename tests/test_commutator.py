@@ -15,7 +15,7 @@ from obslab.commutator import (CommutatorExperiment, band_profile,
 # the benchmark's pair: 1024 points, ladder 6..64, profile scale 3
 SMALL_PAIR = {"grid": {"dim": 1, "half_extent": 12.0, "points_per_axis": 1024},
               "parameters": {"points": 1024, "ns": [6, 12, 24, 48, 64],
-                             "profile_scale": 3.0, "quadrature_samples": 4096}}
+                             "profile_scale": 3.0}}
 
 
 def dense_commutator_norm(symbol, b, weights):

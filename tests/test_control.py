@@ -57,6 +57,17 @@ def test_geometry_rules(setup):
     assert ball.second_radius == pytest.approx(0.5)
     outside = (radius_squared(g) > 1.0).astype(float)
     assert np.array_equal(ball.mask(1), outside)
+    assert np.array_equal(ball.mask(2), (radius_squared(g) > 0.25).astype(float))
+
+
+def test_masks_are_built_once_and_read_only(setup):
+    _, spec, _, u0, ut, _ = setup
+    ball = ControlProblem(spec, u0, ut, 0.5, 1.0, 2.0, 1.0, 1.0)
+    for index in (1, 2):
+        mask = ball.mask(index)
+        assert ball.mask(index) is mask
+        assert not mask.flags.writeable
+    assert ball.mask(1) is not ball.mask(2)
 
 
 def test_kick_times_snap_to_lattice(setup):

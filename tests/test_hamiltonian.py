@@ -7,11 +7,16 @@ import pytest
 
 from obslab.grid import (Field, axis_coordinates, field_from_function, l2_norm,
                          make_grid)
-from obslab.hamiltonian import (HamiltonianSpec, _dense_momentum, ball_potential,
+from obslab.hamiltonian import (HamiltonianSpec, PotentialSpec, _dense_momentum,
                                 dense_matrix, dilation_generator,
                                 gaussian_potential, kinetic_symbol,
-                                min_virial, potential_on_grid, apply_h,
-                                zero_potential)
+                                min_virial, apply_h)
+
+
+def ball_potential(amplitude, radius):
+    """amplitude times the indicator of the closed ball |x| <= radius."""
+    return PotentialSpec(lambda *axes: amplitude * (
+        sum(a**2 for a in axes) <= radius**2).astype(float))
 
 
 def test_constructor_validation():
@@ -26,13 +31,6 @@ def test_constructor_validation():
         HamiltonianSpec(g, "potential")
     with pytest.raises(ValueError):
         HamiltonianSpec(g, "free", convention="sideways")
-
-
-def test_inverse_square_coupling_bound():
-    g3 = make_grid(3, 4.0, 16)
-    HamiltonianSpec.inverse_square(g3, 0.2)
-    with pytest.raises(ValueError):
-        HamiltonianSpec.inverse_square(g3, 0.25)   # c must stay below (n-2)^2/4
 
 
 def test_kinetic_symbol_free_and_fractional():
@@ -52,17 +50,16 @@ def test_scaling_exponent_follows_kind():
     assert HamiltonianSpec.fractional(g, 1.0).s == 1.0
     assert HamiltonianSpec.fractional(g, 3.0).s == 3.0
     assert HamiltonianSpec.free(g).is_multiplier
-    assert not HamiltonianSpec.with_potential(g, zero_potential()).is_multiplier
+    assert not HamiltonianSpec.with_potential(g, gaussian_potential(0.0)).is_multiplier
 
 
 def test_apply_h_matches_dense_matrix():
     rng = np.random.default_rng(5)
-    for g, c in ((make_grid(1, 8.0, 128), 0.1), (make_grid(2, 4.0, 16), -0.1)):
+    for g in (make_grid(1, 8.0, 128), make_grid(2, 4.0, 16)):
         f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         for spec in (HamiltonianSpec.free(g),
                      HamiltonianSpec.fractional(g, 1.5),
-                     HamiltonianSpec.with_potential(g, gaussian_potential(0.7)),
-                     HamiltonianSpec.inverse_square(g, c)):
+                     HamiltonianSpec.with_potential(g, gaussian_potential(0.7))):
             m = dense_matrix(spec)
             assert m.dtype == np.float64
             assert np.array_equal(m, m.T)
@@ -78,16 +75,6 @@ def test_dense_matrix_rejects_a_symbol_that_is_not_even(monkeypatch):
     monkeypatch.setattr(hamiltonian, "kinetic_symbol", lambda spec: xi**2 + xi)
     with pytest.raises(ValueError, match="not even"):
         dense_matrix(HamiltonianSpec.free(g))
-
-
-def test_inverse_square_potential_is_regularized():
-    g = make_grid(1, 8.0, 64)
-    spec = HamiltonianSpec.inverse_square(g, 0.2)
-    v = potential_on_grid(spec)
-    rho = 2.0 * g.spacing
-    # finite at the origin: the softening length is two cells
-    assert v.min() == pytest.approx(-0.2 / rho**2)
-    assert np.isfinite(v).all()
 
 
 def test_min_virial_reads_the_sign_of_the_potential():

@@ -65,19 +65,17 @@ def test_velocity_floor_needs_positive_theta():
 def test_power_matches_dense_svd(free256):
     a = uncertainty_norm(free256, 1.0, 1.0)
     b = uncertainty_norm_dense(free256, 1.0, 1.0)
-    assert a.iterations > 0 and b.iterations == 0     # Lanczos, then SVD
-    assert a.converged
-    assert 0.0 < a.norm < 1.0
-    assert abs(a.norm - b.norm) < 1e-6
+    assert a.iterations > 0 and a.converged and a.residual <= 1e-13
+    assert 0.0 < a.value < 1.0
+    assert abs(a.value - b) < 1e-6
 
 
 def test_empty_window_both_routes(free256):
     res = uncertainty_norm(free256, 1.0, -1.0)
-    assert res.norm == 0.0 and res.iterations == 0      # no Lanczos step
+    assert res.value == 0.0 and res.iterations == 0      # no Lanczos step
     pot = HamiltonianSpec(free256.grid, "potential",
                           potential=gaussian_potential(1.0))
-    res = uncertainty_norm_dense(pot, 1.0, -5.0)
-    assert res.norm == 0.0        # an SVD of no columns would raise
+    assert uncertainty_norm_dense(pot, 1.0, -5.0) == 0.0  # an SVD of no columns would raise
 
 
 def test_scan_monotone_and_grouped(free256):

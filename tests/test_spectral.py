@@ -6,9 +6,8 @@ import pytest
 from obslab import hamiltonian
 from obslab.grid import (Field, axis_coordinates, l2_norm, make_grid,
                          reflection_index)
-from obslab.hamiltonian import (HamiltonianSpec, dense_matrix,
-                                dilation_generator, gaussian_potential,
-                                zero_potential)
+from obslab.hamiltonian import (HamiltonianSpec, PotentialSpec, dense_matrix,
+                                dilation_generator, gaussian_potential)
 from obslab.spectral import (EigenDecomposition, FourierCalculus, Interval,
                              calculus, decompose_dilation,
                              decompose_hamiltonian, project_energy,
@@ -79,7 +78,7 @@ def test_multiplier_and_dense_routes_agree():
     # same operator, one spec diagonal in frequency, one forced dense
     g = make_grid(1, 8.0, 128)
     fourier = calculus(HamiltonianSpec.free(g))
-    dense = calculus(HamiltonianSpec.with_potential(g, zero_potential()))
+    dense = calculus(HamiltonianSpec.with_potential(g, gaussian_potential(0.0)))
     assert isinstance(fourier, FourierCalculus)
     assert isinstance(dense, EigenDecomposition)
     rng = np.random.default_rng(9)
@@ -93,7 +92,7 @@ def test_multiplier_and_dense_routes_agree():
 
 def test_eigendecomposition_residual_and_indices():
     g = make_grid(1, 8.0, 128)
-    spec = HamiltonianSpec.with_potential(g, zero_potential())
+    spec = HamiltonianSpec.with_potential(g, gaussian_potential(0.0))
     eig = decompose_hamiltonian(spec)
     assert eig.residual(dense_matrix(spec)) <= 1e-12
     assert (np.diff(eig.eigenvalues) >= 0).all()
@@ -176,8 +175,7 @@ def test_real_basis_calculus_matches_complex_matmul():
 def test_hamiltonian_basis_is_real_for_every_kind():
     g = make_grid(1, 8.0, 64)
     for spec in (HamiltonianSpec.free(g), HamiltonianSpec.fractional(g, 1.5),
-                 HamiltonianSpec.with_potential(g, gaussian_potential(0.5)),
-                 HamiltonianSpec.inverse_square(g, 0.1)):
+                 HamiltonianSpec.with_potential(g, gaussian_potential(0.5))):
         eig = decompose_hamiltonian(spec)
         assert eig.vectors.dtype == np.float64
         assert not eig.vectors.flags.writeable
@@ -256,13 +254,21 @@ def test_stacked_dilation_calculus_matches_per_slice():
 
 # --- parity split -------------------------------------------------------------
 
+def _inverse_square(g, c):
+    """-c / (|x|^2 + rho^2), softened over rho = two cells: a potential that
+    is not smooth on the grid scale and, for c > 0, attractive."""
+    rho2 = (2.0 * g.spacing) ** 2
+    return HamiltonianSpec.with_potential(
+        g, PotentialSpec(lambda *axes: -c / (sum(a**2 for a in axes) + rho2)))
+
+
 _KINDS = {
     "free": lambda g: HamiltonianSpec.free(g),
     "free_half": lambda g: HamiltonianSpec.free(g, "half"),
     "fractional_s1": lambda g: HamiltonianSpec.fractional(g, 1.0),
     "gaussian_well": lambda g: HamiltonianSpec.with_potential(g, gaussian_potential(0.25)),
-    # c < (dim - 2)^2 / 4: attractive in 1-D, repulsive on the plane
-    "inverse_square": lambda g: HamiltonianSpec.inverse_square(g, 0.1 if g.dim == 1 else -0.1),
+    # attractive in 1-D, repulsive on the plane
+    "inverse_square": lambda g: _inverse_square(g, 0.1 if g.dim == 1 else -0.1),
 }
 
 
