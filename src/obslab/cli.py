@@ -262,7 +262,6 @@ _CANNED = {
             "band": [1.12, 1.70],
             "band_ramp": 0.28,
             "energy_window": [1.25, 3.0],
-            "energy_ramp": 0.44,
             "velocity_fraction": 0.5,
             "times": {"start": 5.0, "stop": 50.0, "count": 10},
         },
@@ -404,8 +403,8 @@ def _check_commutator_grid(cfg: dict) -> None:
 
 def resolve_config(experiment: str, overlay: dict) -> dict:
     """Canned defaults overlaid with `overlay`.  A key the experiment never
-    reads, a schema error, or a Hamiltonian key that the chosen kind never
-    reads raises."""
+    reads, a schema error, a Hamiltonian key the chosen kind never reads, or
+    an energy_ramp that does not match the minimal-velocity state raises."""
     # the round trip deep-copies, so the result shares nothing with
     # DEFAULTS or the overlay
     merged = json.loads(json.dumps(_deep_merge(DEFAULTS[experiment], overlay)))
@@ -416,6 +415,11 @@ def resolve_config(experiment: str, overlay: dict) -> dict:
             f"subcommand is {experiment!r}")
     if "hamiltonian" in merged:
         _check_hamiltonian_keys(merged["hamiltonian"])
+    if experiment == "minimal-velocity":
+        p = merged["parameters"]
+        if (p["state"] == "window") != ("energy_ramp" in p):
+            raise ValueError("parameters key 'energy_ramp' goes with state "
+                             f"'window' and only with it; state is {p['state']!r}")
     if experiment == "commutator":
         _check_commutator_grid(merged)
     return merged

@@ -144,56 +144,51 @@ def min_virial(spec: HamiltonianSpec) -> float:
     return float(virial.min()) + 0.0       # + 0.0 reads a -0.0 minimum as 0.0
 
 
-def _dense_momentum(grid: GridSpec) -> np.ndarray:
-    """Spectral differentiation -i d/dx with the Nyquist mode zeroed.
-
-    Zeroing the unpaired Nyquist frequency keeps the operator odd under
-    reflection-conjugation; it only touches states with content at the cutoff.
-    """
-    n = grid.points_per_axis
-    xi = axis_frequencies(grid).copy()
-    xi[n // 2] = 0.0
-    f_of_eye = np.fft.fft(np.eye(n), axis=0)
-    return np.fft.ifft(xi[:, None] * f_of_eye, axis=0)
+def _circulant(k: np.ndarray, grid: GridSpec, parity: float) -> np.ndarray:
+    """The periodic convolution C[x, y] = k[(x - y) mod shape] by a real
+    kernel k, made exactly even (parity 1) or odd (parity -1) first, so C
+    equals parity * C^T bit for bit."""
+    if grid.dofs > DENSE_LIMIT:
+        raise ValueError(f"dense assembly capped at {DENSE_LIMIT} dofs, grid has {grid.dofs}")
+    axes = tuple(range(grid.dim))
+    k = 0.5 * (k + parity * np.roll(np.flip(k), 1, axis=axes))   # k(-x) = parity k(x)
+    # window s of the doubled reversed kernel reads k[(m - 1 - s - y) mod m]
+    # over y, m points per axis, so window s = m - 1 - x is row x of C
+    rev = np.tile(np.flip(k), (2,) * grid.dim)
+    windows = np.lib.stride_tricks.sliding_window_view(rev, grid.shape)
+    rows = tuple(slice(m - 1, None, -1) for m in grid.shape)
+    return np.array(windows[rows]).reshape(grid.dofs, grid.dofs)
 
 
 def dilation_generator(grid: GridSpec) -> np.ndarray:
-    """Dense symmetrized generator A = (x.p + p.x)/2 on a 1-D grid."""
+    """Dense A = (x.p + p.x)/2 on a 1-D grid: A[j, k] = (x_j + x_k) p[j, k] / 2.
+
+    p = -i d/dx, the Nyquist xi zeroed, is i times the convolution by the
+    real kernel ifft(xi).imag, made exactly odd.  The seam x = -L, its own
+    mirror, takes x = 0 (the midpoint of the periodic sawtooth's jump), so
+    x is odd too, and A is exactly Hermitian and even under x -> -x.
+    """
     if grid.dim != 1:
         raise ValueError("dilation generator is built dense on 1-D grids only")
-    if grid.dofs > DENSE_LIMIT:
-        raise ValueError(f"dense dilation generator capped at {DENSE_LIMIT} points")
-    x = axis_coordinates(grid)
-    p = _dense_momentum(grid)
-    m = 0.5 * (x[:, None] * p + p * x[None, :])
-    return 0.5 * (m + m.conj().T)
+    x, xi = axis_coordinates(grid).copy(), axis_frequencies(grid).copy()
+    x[0] = xi[grid.points_per_axis // 2] = 0.0        # the seam; the Nyquist xi
+    c = _circulant(np.fft.ifft(xi).imag, grid, -1.0)
+    return 0.5j * (x[:, None] + x[None, :]) * c
 
 
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     """Assemble H as a dense real symmetric float64 matrix (dofs <= DENSE_LIMIT).
 
-    The kinetic part is the periodic convolution H[x, y] = k[(x - y) mod shape]
-    by the kernel k = ifftn(symbol).  Every symbol here is real and even on
-    the frequency lattice, so k is real and even; a kernel whose imaginary
-    part is not at rounding level raises.  k is made exactly even, so H
-    equals its transpose bit for bit.
+    The kinetic part is the periodic convolution by the kernel
+    k = ifftn(symbol).  Every symbol here is real and even on the frequency
+    lattice, so k is real and even; a kernel whose imaginary part is not at
+    rounding level raises.  k is made exactly even, so H = H^T bit for bit.
     """
     g = spec.grid
-    n = g.dofs
-    if n > DENSE_LIMIT:
-        raise ValueError(f"dense assembly capped at {DENSE_LIMIT} dofs, grid has {n}")
     kernel = np.fft.ifftn(kinetic_symbol(spec))
     if np.abs(kernel.imag).max() > 1e-12 * np.abs(kernel).max():
         raise ValueError("kinetic kernel is not real: the symbol is not even")
-    axes = tuple(range(g.dim))
-    k = kernel.real
-    k = 0.5 * (k + np.roll(np.flip(k), 1, axis=axes))      # k(-x) = k(x)
-    # window s of the doubled reversed kernel reads k[(m - 1 - s - y) mod m]
-    # over y, m points per axis, so window s = m - 1 - x is row x of H
-    rev = np.tile(np.flip(k), (2,) * g.dim)
-    windows = np.lib.stride_tricks.sliding_window_view(rev, g.shape)
-    rows = tuple(slice(m - 1, None, -1) for m in g.shape)
-    h = np.array(windows[rows]).reshape(n, n)
+    h = _circulant(kernel.real, g, 1.0)
     if spec.kind == "potential":
-        h[np.diag_indices(n)] += potential_on_grid(spec).ravel()
+        h[np.diag_indices(g.dofs)] += potential_on_grid(spec).ravel()
     return h

@@ -161,7 +161,7 @@ def _window_defect(spec: HamiltonianSpec, window: Interval, psi: Field) -> float
 
 def window_localized_state(spec: HamiltonianSpec, window: Interval,
                            xi_lo: float, xi_hi: float, xi_ramp: float,
-                           energy_ramp: float = 0.4) -> Field:
+                           energy_ramp: float) -> Field:
     """Unit state exactly localized to the given energy window.
 
     Starts from a frequency band state, which is returned as it is when it

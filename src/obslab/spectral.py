@@ -174,8 +174,8 @@ class EigenDecomposition(_Calculus):
 
 
 def _parity_blocks(h: np.ndarray, grid: GridSpec):
-    """Split H, which commutes with the reflection R: x -> -x, into the
-    blocks of the even and the odd functions.
+    """Split a Hermitian H that commutes with the reflection R: x -> -x
+    (H itself, or the dilation generator) into its even and odd blocks.
 
     Returns (even, odd, rep, par, pair): rep = {j : j <= R j} and
     par = R[rep] list the representatives and their mirrors, pair marks the
@@ -192,7 +192,7 @@ def _parity_blocks(h: np.ndarray, grid: GridSpec):
     cross = h[np.ix_(rep, par)]
     if not (np.array_equal(h[np.ix_(par, par)], same)
             and np.array_equal(h[np.ix_(par, rep)], cross)):
-        raise ValueError("H does not commute with the reflection x -> -x")
+        raise ValueError("matrix does not commute with the reflection x -> -x")
     pair = rep != par
     d = np.where(pair, 1.0, math.sqrt(0.5))
     even = same + cross
@@ -202,27 +202,25 @@ def _parity_blocks(h: np.ndarray, grid: GridSpec):
     return even, odd, rep, par, pair
 
 
-@lru_cache(maxsize=3)
-def decompose_hamiltonian(spec: HamiltonianSpec) -> EigenDecomposition:
-    """Real symmetric eigendecomposition of the dense H; cached and read-only.
-
-    H commutes with x -> -x, so it is diagonalized as its even and odd
-    blocks, each about half the size (a quarter of the flops of one eigh).
-    The block eigenvectors are scattered into one n x n basis, each column
-    straight to its place in ascending eigenvalue order.
+def _parity_eigh(matrix: np.ndarray, grid: GridSpec) -> EigenDecomposition:
+    """Read-only eigendecomposition of a Hermitian matrix that commutes with
+    x -> -x, through its even and odd blocks: each about half the size, a
+    quarter of the flops of one eigh.  The matrix is freed, then each block
+    eigenvector is scattered straight to its column of one n x n basis of
+    the matrix's dtype, in ascending eigenvalue order.
     """
-    even, odd, rep, par, pair = _parity_blocks(dense_matrix(spec), spec.grid)
+    even, odd, rep, par, pair = _parity_blocks(matrix, grid)
+    del matrix
     w_even, v_even = np.linalg.eigh(even)
     w_odd, v_odd = np.linalg.eigh(odd)
     del even, odd
-    n = spec.grid.dofs
+    n = grid.dofs
     spectrum = np.concatenate([w_even, w_odd])
     order = np.argsort(spectrum, kind="stable")    # merge; ties keep even first
     w = spectrum[order]
-    column = np.empty(n, dtype=np.intp)            # block column -> column of v
-    column[order] = np.arange(n)
+    column = np.argsort(order)                     # block column -> column of v
     col_even, col_odd = column[:w_even.size], column[w_even.size:]
-    v = np.zeros((n, n))
+    v = np.zeros((n, n), dtype=v_even.dtype)
     v_even *= np.where(pair, math.sqrt(0.5), 1.0)[:, None]   # c / sqrt(2) on a pair
     v[np.ix_(rep, col_even)] = v_even
     v[np.ix_(par, col_even)] = v_even
@@ -231,16 +229,19 @@ def decompose_hamiltonian(spec: HamiltonianSpec) -> EigenDecomposition:
     v[np.ix_(par[pair], col_odd)] = np.negative(v_odd, out=v_odd)
     w.flags.writeable = False
     v.flags.writeable = False
-    return EigenDecomposition(w, v, spec.grid)
+    return EigenDecomposition(w, v, grid)
+
+
+@lru_cache(maxsize=3)
+def decompose_hamiltonian(spec: HamiltonianSpec) -> EigenDecomposition:
+    """Real orthogonal eigenbasis of the dense H, through its parity split; cached."""
+    return _parity_eigh(dense_matrix(spec), spec.grid)
 
 
 @lru_cache(maxsize=1)
 def decompose_dilation(grid: GridSpec) -> EigenDecomposition:
-    """Eigenbasis of the dilation generator on a grid; cached and read-only."""
-    w, v = np.linalg.eigh(dilation_generator(grid))
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return EigenDecomposition(w, v, grid)
+    """Complex unitary eigenbasis of the dilation generator, as H's; cached."""
+    return _parity_eigh(dilation_generator(grid), grid)
 
 
 def calculus(spec: HamiltonianSpec) -> FourierCalculus | EigenDecomposition:

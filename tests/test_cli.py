@@ -145,25 +145,18 @@ _QUICK = {
                                   "profile_scale": 3.0}},
 }
 
-# the minimal-velocity state picks which keys the run reads: energy_ramp
-# only shapes a window state, so the leaves read are those of both states
-_STATES = {"minimal-velocity": ({}, {"parameters": {"state": "window"}})}
-
-
 @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
 def test_a_run_reads_exactly_its_canned_keys(experiment, monkeypatch):
     # execute and the runner together read every leaf of the resolved canned
     # config ("seed" aside, which every config carries) and no other
     monkeypatch.setattr(acceptance, "CRITERIA", ())
     seen = set()
-    for state in _STATES.get(experiment, ({},)):
-        cfg = cli.resolve_config(
-            experiment, cli._deep_merge(_QUICK.get(experiment, {}), state))
-        recording = _Recording(cfg, seen)
-        if experiment == "commutator":
-            # resolve_config's check is what reads grid.dim: it must be 1
-            cli._check_commutator_grid(recording)
-        cli.execute(recording)
+    cfg = cli.resolve_config(experiment, _QUICK.get(experiment, {}))
+    recording = _Recording(cfg, seen)
+    if experiment == "commutator":
+        # resolve_config's check is what reads grid.dim: it must be 1
+        cli._check_commutator_grid(recording)
+    cli.execute(recording)
     canned = cli.resolve_config(experiment, {})
     assert seen | {("seed",)} == set(_leaf_paths(canned))
     assert set(canned) == {"experiment", "seed", *cli.READS[experiment]}
@@ -228,6 +221,24 @@ def test_hamiltonian_keys_the_run_would_ignore_are_rejected(tmp_path, capsys):
                          "potential": {"form": "gaussian", "amplitude": 0.5}}):
         cfg = cli.resolve_config("uncertainty", {"hamiltonian": hamiltonian})
         assert cfg["hamiltonian"] == {"convention": "full", **hamiltonian}
+
+
+def test_energy_ramp_follows_the_minimal_velocity_state(tmp_path, capsys):
+    # only a window state reads energy_ramp: a band state rejects it, and a
+    # window state needs it
+    planted = [
+        ({"state": "band", "energy_ramp": 0.44}, "state is 'band'"),
+        ({"state": "window"}, "state is 'window'"),
+    ]
+    for i, (parameters, message) in enumerate(planted):
+        path = write_config(tmp_path / f"cfg{i}.json", {"parameters": parameters})
+        out = tmp_path / f"out{i}"
+        assert cli.run("minimal-velocity", path, str(out)) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+    cfg = cli.resolve_config("minimal-velocity", {"parameters": {
+        "state": "window", "energy_ramp": 0.44}})
+    assert cfg["parameters"]["energy_ramp"] == 0.44
 
 
 def test_benchmark_overlays_resolve():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from obslab.grid import (Field, axis_coordinates, field_from_function, l2_norm,
-                         make_grid)
-from obslab.hamiltonian import (HamiltonianSpec, PotentialSpec, _dense_momentum,
+                         make_grid, reflection_index)
+from obslab.hamiltonian import (HamiltonianSpec, PotentialSpec, _circulant,
                                 dense_matrix, dilation_generator,
                                 gaussian_potential, kinetic_symbol,
                                 min_virial, apply_h)
@@ -99,15 +99,34 @@ def test_min_virial_reads_the_sign_of_the_potential():
 
 def test_dilation_generator_is_hermitian_with_symmetric_spectrum():
     g = make_grid(1, 8.0, 256)
-    # (x.p + p.x)/2 before symmetrization is Hermitian to rounding already
-    x, p = axis_coordinates(g), _dense_momentum(g)
-    m = 0.5 * (x[:, None] * p + p * x[None, :])
-    assert np.linalg.norm(m - m.conj().T) <= 1e-12 * np.linalg.norm(m)
     a = dilation_generator(g)
-    np.testing.assert_allclose(a, a.conj().T)
+    # exactly Hermitian, and exactly even under x -> -x (the seam x = -L,
+    # its own mirror, carries x = 0)
+    assert (a == a.conj().T).all()
+    r = reflection_index(g)
+    assert (a[np.ix_(r, r)] == a).all()
+    assert (a.real == 0).all()          # i times a real skew matrix
     w = np.linalg.eigvalsh(a)
     # generator of dilations anticommutes with parity: spectrum is even
     np.testing.assert_allclose(np.sort(w), np.sort(-w), atol=1e-9)
+
+
+def test_circulant_kernel_is_exactly_even_or_odd():
+    # C[x, y] = k[(x - y) mod shape], with k symmetrized to the given parity
+    rng = np.random.default_rng(3)
+    for g in (make_grid(1, 8.0, 16), make_grid(2, 8.0, 8)):
+        r = reflection_index(g)
+        k = rng.standard_normal(g.shape)
+        point = np.array(np.unravel_index(np.arange(g.dofs), g.shape))
+        shift = np.ravel_multi_index(
+            (point[:, :, None] - point[:, None, :]) % g.points_per_axis, g.shape)
+        for parity in (1.0, -1.0):
+            c = _circulant(k, g, parity)
+            kernel = c[:, 0]                  # k[x - 0]
+            assert (kernel == 0.5 * (k.ravel() + parity * k.ravel()[r])).all()
+            assert (kernel[r] == parity * kernel).all()
+            assert (c == kernel[shift]).all()
+            assert (c == parity * c.T).all()
 
 
 def test_dilation_generator_guards():

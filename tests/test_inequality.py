@@ -114,7 +114,7 @@ def test_band_state_rejects_wide_ramp(free256):
 
 def test_window_state_multiplier_passthrough(free256):
     got = window_localized_state(free256, Interval(0.9, 4.1),
-                                 1.0, 2.0, 0.3)
+                                 1.0, 2.0, 0.3, energy_ramp=0.4)
     want = frequency_band_state(free256, 1.0, 2.0, 0.3)
     assert np.array_equal(got.values, want.values)
 

@@ -284,25 +284,47 @@ def test_reflection_index_negates_coordinates():
         assert (coords[:, r] == mirrored).all()
 
 
-@pytest.mark.parametrize("kind", sorted(_KINDS))
-@pytest.mark.parametrize("grid", [(1, 8.0, 128), (2, 6.0, 16)], ids=["1d", "2d"])
-def test_parity_split_matches_full_eigh(kind, grid):
-    g = make_grid(*grid)
-    spec = _KINDS[kind](g)
-    h = dense_matrix(spec)
+_GRIDS = {"1d": (1, 8.0, 128), "2d": (2, 6.0, 16)}
+# every H kind on both grids, and the dilation generator (1-D only)
+_SPLIT_CASES = [(grid, kind) for grid in _GRIDS for kind in sorted(_KINDS)] + [("1d", "dilation")]
+
+
+@pytest.mark.parametrize("grid, kind", _SPLIT_CASES,
+                         ids=[f"{grid}-{kind}" for grid, kind in _SPLIT_CASES])
+def test_parity_split_matches_full_eigh(grid, kind):
+    g = make_grid(*_GRIDS[grid])
+    if kind == "dilation":
+        h, eig = dilation_generator(g), decompose_dilation(g)
+    else:
+        spec = _KINDS[kind](g)
+        h, eig = dense_matrix(spec), decompose_hamiltonian(spec)
     oracle = np.linalg.eigh(h)[0]
-    eig = decompose_hamiltonian(spec)
     scale = np.abs(oracle).max()
     assert np.abs(eig.eigenvalues - oracle).max() <= 1e-13 * scale
     assert eig.residual(h) <= 1e-12
     v = eig.vectors
-    assert np.abs(v.T @ v - np.eye(g.dofs)).max() <= 1e-12
+    assert v.dtype == h.dtype
+    assert np.abs(v.conj().T @ v - np.eye(g.dofs)).max() <= 1e-12
     mirrored = v[reflection_index(g)]
     even = (mirrored == v).all(axis=0)
     odd = (mirrored == -v).all(axis=0)
     assert (even ^ odd).all()
     # one even function per pair and fixed point, one odd one per pair
     assert even.sum() == (g.dofs + 2**g.dim) // 2
+
+
+def test_dilation_generator_is_never_diagonalized_whole(monkeypatch):
+    # A goes through the same parity split as H: the only eigh calls are
+    # its even and odd blocks, never the n x n matrix
+    shapes, eigh = [], np.linalg.eigh
+
+    def recording(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    decompose_dilation.__wrapped__(make_grid(1, 8.0, 128))     # past the cache
+    assert shapes == [(65, 65), (63, 63)]
 
 
 def test_off_centre_potential_is_refused(monkeypatch):
