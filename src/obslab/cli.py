@@ -828,7 +828,7 @@ def _run_control(cfg, spec, plan):
     u0 = _packet_field(grid, p["initial"])
     u_t = _packet_field(grid, p["target"])
     problem = ControlProblem(spec, u0, u_t, p["tau1"], p["tau2"],
-                             p["horizon"], p["radius"], p["sigma"]).snapped_to(plan)
+                             p["horizon"], p["radius"], p["sigma"])
 
     adjoint = adjoint_defect(plan, problem, seed=cfg["seed"])
 
@@ -893,8 +893,6 @@ def _run_control(cfg, spec, plan):
         "verify_engine": check.engine_used,
         "verify_residual": check.residual,
         "verify_factor": check.within_factor,
-        "snapped_tau1": problem.tau1,
-        "snapped_tau2": problem.tau2,
     }
     series = [("epsilon_path.csv", {
         "epsilon": list(p["epsilons"]),
@@ -909,10 +907,11 @@ def _run_control(cfg, spec, plan):
 def _run_commutator(cfg):
     from .commutator import (derivative_bump_scaling, momentum_pair,
                              scaling_fit)
+    from .grid import make_grid
 
     g, p = cfg["grid"], cfg["parameters"]
-    exp = momentum_pair(g["half_extent"], g["points_per_axis"],
-                        p["profile_scale"], p["shift"], tuple(p["ns"]))
+    grid = make_grid(g["dim"], g["half_extent"], g["points_per_axis"])
+    exp = momentum_pair(grid, p["profile_scale"], p["shift"], tuple(p["ns"]))
     fit = scaling_fit(exp)
     bump = derivative_bump_scaling(tuple(p["ns"]))
     residuals = [r.residual for r in (*fit.runs, fit.m_ab_run)]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import PowerResult, hermitian_operator_norm
+from .grid import GridSpec, axis_coordinates, axis_frequencies
 from .spectral import smooth_step
 
 
@@ -70,10 +71,11 @@ class CommutatorExperiment:
         return hermitian_operator_norm(apply, b.size)
 
 
-def momentum_pair(half_extent: float = 12.0, points: int = 2048,
-                  profile_scale: float = 2.0, shift: float = 1.0,
+def momentum_pair(grid: GridSpec, profile_scale: float = 2.0,
+                  shift: float = 1.0,
                   ns=(8, 16, 32, 64, 128)) -> CommutatorExperiment:
-    """Spectral momentum plus a constant against a tanh-profile multiplier.
+    """Spectral momentum plus a constant against a tanh-profile multiplier,
+    on the axis of a 1-D grid.
 
     The multiplier is tapered to zero over [0.55 L, 0.95 L] so its periodic
     extension is smooth; the bare tanh jumps at the seam and its step content
@@ -81,13 +83,10 @@ def momentum_pair(half_extent: float = 12.0, points: int = 2048,
     multiplier's spectral spread inside the narrowest cutoff ramp, which is
     what puts the smallest bands into the asymptotic decay regime.
     """
-    h = 2.0 * half_extent / points
-    x = -half_extent + h * np.arange(points)
-    xi = 2.0 * np.pi * np.fft.fftfreq(points, h)
-    shoulder = smooth_step((0.95 * half_extent - np.abs(x))
-                           / (0.40 * half_extent))
-    exp = CommutatorExperiment(xi + shift, np.tanh(x / profile_scale) * shoulder,
-                               ns)
+    x, half = axis_coordinates(grid), grid.half_extent
+    shoulder = smooth_step((0.95 * half - np.abs(x)) / (0.40 * half))
+    exp = CommutatorExperiment(axis_frequencies(grid) + shift,
+                               np.tanh(x / profile_scale) * shoulder, ns)
     if max(exp.ns) > 0.5 * exp.spectral_radius:
         raise ValueError("largest band exceeds half the spectral radius")
     return exp

@@ -21,7 +21,7 @@ reconstructed terminal state misses y by exactly 2 eps f*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,7 @@ from .estimate import POWER_SEED
 from .grid import Field, exterior_weights, inner, l2_norm, mass_in_region
 from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
 from .inequality import second_observation_radius
-from .propagate import PropagatorPlan, evolve, evolve_backward, snap_times
+from .propagate import PropagatorPlan, evolve, evolve_backward
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,6 @@ class ControlProblem:
             return 0.0
         return second_observation_radius(self.hamiltonian, self.radius,
                                          self.sigma, self.tau2 - self.tau1)
-
-    def snapped_to(self, plan: "PropagatorPlan") -> "ControlProblem":
-        """Round the kick times onto the splitstep lattice; no-op otherwise."""
-        if plan.engine != "splitstep":
-            return self
-        t1, t2 = snap_times(plan, [self.tau1, self.tau2]).tolist()
-        return replace(self, tau1=t1, tau2=t2)
 
     @cached_property
     def _masks(self) -> tuple[np.ndarray, np.ndarray]:

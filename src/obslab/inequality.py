@@ -210,15 +210,16 @@ def minimal_velocity_decay(plan: PropagatorPlan, psi: Field, v: float, times,
         defect = _window_defect(spec, Interval(*energy_window), psi)
         if defect > LOCALIZATION_TOL:
             raise ValueError(f"psi is not localized in the energy window (defect {defect:.2e})")
-    used, snaps = evolve_series(plan, psi, times)
-    masses = np.empty(used.size)
+    times = np.asarray(times, dtype=float)
+    snaps = evolve_series(plan, psi, times)
+    masses = np.empty(times.size)
     wrap = 0.0
-    for i, (t, u) in enumerate(zip(used, snaps)):
+    for i, (t, u) in enumerate(zip(times, snaps)):
         masses[i] = mass_in_region(u, ball_weights(spec.grid, v * t, closed=False))
         wrap = max(wrap, boundary_shell_mass(u))
-    fit = fit_or_nan(used, masses, floor=MASS_FIT_FLOOR)
-    xc = engine_cross_check(plan, psi, float(used[len(used) // 2]))
-    return DecaySeries(used, masses, fit, wrap, xc)
+    fit = fit_or_nan(times, masses, floor=MASS_FIT_FLOOR)
+    xc = engine_cross_check(plan, psi, float(times[len(times) // 2]))
+    return DecaySeries(times, masses, fit, wrap, xc)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +399,7 @@ def _two_time_ratio(plan: PropagatorPlan, u0: Field, radius: float, r2: float,
     """(total, ext1, ext2, ratio, snapshots at t1 and t2) for the exterior
     observations |x| > radius at t1 and |x| > r2 at t2."""
     g = plan.hamiltonian.grid
-    _, snaps = evolve_series(plan, u0, [t1, t2])
+    snaps = evolve_series(plan, u0, [t1, t2])
     ext1 = mass_in_region(snaps[0], exterior_weights(g, radius))
     ext2 = mass_in_region(snaps[1], exterior_weights(g, r2))
     total = l2_norm(u0) ** 2

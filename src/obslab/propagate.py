@@ -8,10 +8,10 @@ dense        exact phases in the dense eigenbasis calculus; dofs <= DENSE_LIMIT
 The multiplier and dense engines are the two implementations of
 spectral.calculus; splitstep is not a function of H and marches on its own.
 
-Observation times under splitstep are snapped to the dt lattice; a final
-fractional substep absorbs any remainder when a single target time does not
-divide.  Backward evolution goes through conjugation, which is valid because
-every symbol here is real and even and every potential is real.
+Every engine realizes exactly the times it is asked for: splitstep marches
+each interval in whole dt steps and ends it with one fractional substep for
+the remainder.  Backward evolution goes through conjugation, which is valid
+because every symbol here is real and even and every potential is real.
 """
 
 from __future__ import annotations
@@ -101,17 +101,9 @@ def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
     return Field(field.grid, calc.apply(np.exp(-1j * t * calc.spectrum), field.values))
 
 
-def snap_times(plan: PropagatorPlan, times) -> np.ndarray:
-    """Observation times as the engine will realize them."""
+def evolve_series(plan: PropagatorPlan, field: Field, times) -> list[Field]:
+    """March once through ascending times; returns the snapshots."""
     times = np.asarray(times, dtype=float)
-    if plan.engine != "splitstep":
-        return times
-    return np.round(times / plan.dt) * plan.dt
-
-
-def evolve_series(plan: PropagatorPlan, field: Field, times) -> tuple[np.ndarray, list[Field]]:
-    """March once through ascending times; returns (realized times, snapshots)."""
-    times = snap_times(plan, times)
     if np.any(np.diff(times) < 0) or (times.size and times[0] < 0):
         raise ValueError("times must be ascending and nonnegative")
     out: list[Field] = []
@@ -122,13 +114,13 @@ def evolve_series(plan: PropagatorPlan, field: Field, times) -> tuple[np.ndarray
             _splitstep_march(v, plan.hamiltonian, t - prev, plan.dt)
             prev = t
             out.append(Field(field.grid, v.copy()))
-        return times, out
+        return out
     calc = _calculus(plan)
     coeff = calc.forward(field.values)
     for t in times:
         phase = np.exp(-1j * t * calc.spectrum)
         out.append(Field(field.grid, calc.backward(phase * coeff)))
-    return times, out
+    return out
 
 
 def evolve_backward(plan: PropagatorPlan, field: Field, t: float) -> Field:

@@ -240,8 +240,20 @@ def decompose_hamiltonian(spec: HamiltonianSpec) -> EigenDecomposition:
 
 @lru_cache(maxsize=1)
 def decompose_dilation(grid: GridSpec) -> EigenDecomposition:
-    """Complex unitary eigenbasis of the dilation generator, as H's; cached."""
-    return _parity_eigh(dilation_generator(grid), grid)
+    """Complex unitary eigenbasis of the dilation generator, as H's; cached.
+
+    Each parity block is i times a real skew matrix of odd size, with one
+    exact zero eigenvalue that eigh returns at rounding level, signed by the
+    BLAS thread count; both are set to 0.0 (raises unless at rounding level).
+    """
+    dec = _parity_eigh(dilation_generator(grid), grid)
+    w = dec.eigenvalues.copy()
+    null = np.argsort(np.abs(w), kind="stable")[:2]
+    if np.abs(w[null]).max() > w.size * np.finfo(float).eps * np.abs(w).max():
+        raise ValueError("dilation generator null modes are not at rounding level")
+    w[null] = 0.0
+    w.flags.writeable = False
+    return EigenDecomposition(w, dec.vectors, grid)
 
 
 def calculus(spec: HamiltonianSpec) -> FourierCalculus | EigenDecomposition:

@@ -190,6 +190,18 @@ def test_keys_the_run_would_ignore_exit_1_and_write_nothing(
         assert f"{key!r} was unexpected" in err
 
 
+def test_commutator_grid_is_a_grid_spec(tmp_path, capsys):
+    # the commutator builds its grid as every other experiment does, so a
+    # point count that is no power of two exits 1
+    path = write_config(tmp_path / "cfg.json", {
+        "grid": {"dim": 1, "half_extent": 12.0, "points_per_axis": 1000},
+        "parameters": {"ns": [6, 12, 24, 48, 64], "profile_scale": 3.0}})
+    out = tmp_path / "out"
+    assert cli.run("commutator", path, str(out)) == 1
+    assert not out.exists()
+    assert "power of two" in capsys.readouterr().err
+
+
 def test_hamiltonian_keys_the_run_would_ignore_are_rejected(tmp_path, capsys):
     # each key is one the chosen kind never reads, one no kind reads, or a
     # potential kind's missing potential
@@ -512,6 +524,17 @@ def test_capped_cg_fails_the_control_convergence_verdict(tmp_path, monkeypatch):
     assert by_name["cg_converged"]["pass"] is False
 
 
+def test_splitstep_control_kicks_below_one_step(tmp_path):
+    # tau1 is shorter than dt: the kick still happens at tau1 itself
+    path = write_config(tmp_path / "cfg.json", {
+        "experiment": "control", "engine": "splitstep", "dt": 0.01,
+        "parameters": {"tau1": 0.004, "tau2": 1.0}})
+    out = tmp_path / "out"
+    assert cli.run("control", path, str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["verdicts"]) == 8
+
+
 def test_schema_violation_writes_nothing(tmp_path, capsys):
     cfg = json.loads(json.dumps(SMALL_UNCERTAINTY))
     cfg["grid"]["points_per_axis"] = 7
@@ -623,6 +646,24 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == __version__
+
+
+def test_canned_enss_agrees_across_thread_counts(tmp_path):
+    # the dilation generator's two null modes are pinned at 0, so the
+    # threshold a = 0 splits them the same way on every thread count
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    results = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        done = subprocess.run([sys.executable, "-m", "obslab", "enss",
+                               "--threads", str(threads), "--out", str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        results.append(json.loads((out / "report.json").read_text())["results"])
+    one, two = results
+    for key in ("bound_constants", "slopes", "constant_ratio"):
+        np.testing.assert_allclose(two[key], one[key], rtol=1e-12, atol=0)
 
 
 def test_main_without_subcommand(capsys):

@@ -11,6 +11,7 @@ from obslab import cli, commutator, estimate
 from obslab.commutator import (CommutatorExperiment, band_profile,
                                commutator_norm, derivative_bump_scaling,
                                momentum_pair, scaling_fit)
+from obslab.grid import make_grid
 
 # the benchmark's pair: 1024 points, ladder 6..64, profile scale 3
 SMALL_PAIR = {"grid": {"dim": 1, "half_extent": 12.0, "points_per_axis": 1024},
@@ -59,7 +60,7 @@ def test_experiment_validation():
 
 
 def test_commutator_norm_against_svd():
-    exp = momentum_pair(half_extent=6.0, points=512, ns=(4, 8, 16, 32, 64))
+    exp = momentum_pair(make_grid(1, 6.0, 512), ns=(4, 8, 16, 32, 64))
     for n in exp.ns:
         run = commutator_norm(exp, n)
         ref = dense_commutator_norm(exp.symbol, exp.b,
@@ -106,7 +107,7 @@ def test_fit_needs_five_scales():
 
 
 def test_momentum_pair_decay():
-    exp = momentum_pair(half_extent=6.0, points=512, ns=(4, 8, 16, 32, 64))
+    exp = momentum_pair(make_grid(1, 6.0, 512), ns=(4, 8, 16, 32, 64))
     fit = scaling_fit(exp)
     assert not fit.vacuous
     assert np.all(np.diff(fit.norms) < 0.0)
@@ -120,7 +121,7 @@ def test_momentum_pair_decay():
 
 def test_momentum_pair_band_cap():
     with pytest.raises(ValueError, match="spectral radius"):
-        momentum_pair(half_extent=6.0, points=256, ns=(4, 8, 16, 32, 64))
+        momentum_pair(make_grid(1, 6.0, 256), ns=(4, 8, 16, 32, 64))
 
 
 def test_derivative_bump_scaling():

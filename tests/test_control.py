@@ -70,16 +70,6 @@ def test_masks_are_built_once_and_read_only(setup):
     assert ball.mask(1) is not ball.mask(2)
 
 
-def test_kick_times_snap_to_lattice(setup):
-    g, spec, plan, u0, ut, _ = setup
-    problem = ControlProblem(spec, u0, ut, 0.503, 1.0049, 2.0, 0.0, 1.0)
-    assert problem.snapped_to(plan) is problem          # multiplier: no lattice
-    ss = PropagatorPlan(spec, "splitstep", dt=1e-2)
-    snapped = problem.snapped_to(ss)
-    assert snapped.tau1 == pytest.approx(0.5, abs=1e-12)
-    assert snapped.tau2 == pytest.approx(1.0, abs=1e-12)
-
-
 def test_zero_target_is_exactly_zero(setup):
     g, spec, plan, u0, _, _ = setup
     drift = evolve(plan, u0, 2.0)
@@ -160,9 +150,9 @@ def test_epsilon_ladder_trades_error_for_cost(setup):
 def test_splitstep_solution_verifies(setup):
     g, spec, _, u0, ut, problem = setup
     ss = PropagatorPlan(spec, "splitstep", dt=1e-2)
-    sol = solve_impulse_control(ss, problem.snapped_to(ss), 1e-4)
+    sol = solve_impulse_control(ss, problem, 1e-4)
     assert sol.converged
-    check = verify_control(ss, problem.snapped_to(ss), sol)
+    check = verify_control(ss, problem, sol)
     assert check.engine_used == "dense"
     assert check.within_factor < 2.0
 

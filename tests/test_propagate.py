@@ -9,7 +9,7 @@ from obslab.grid import Field, field_from_function, l2_norm, make_grid
 from obslab.hamiltonian import HamiltonianSpec, gaussian_potential
 from obslab.propagate import (ENGINES, PropagatorPlan, engine_cross_check,
                               evolve, evolve_backward, evolve_series,
-                              free_gaussian_reference, snap_times)
+                              free_gaussian_reference)
 
 
 def _rel(a: Field, b: Field) -> float:
@@ -107,15 +107,6 @@ def test_negative_time_and_grid_mismatch_raise(grid, packet):
         evolve(plan, other, 0.1)
 
 
-def test_snap_times_rounds_to_step_lattice(grid):
-    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(1.0))
-    split = PropagatorPlan(spec, "splitstep", dt=0.25)
-    np.testing.assert_allclose(snap_times(split, [0.3, 0.6, 1.0]),
-                               [0.25, 0.5, 1.0])
-    exact = PropagatorPlan(HamiltonianSpec.free(grid))
-    np.testing.assert_allclose(snap_times(exact, [0.3, 0.6]), [0.3, 0.6])
-
-
 @pytest.mark.parametrize("engine,kind", [("multiplier", "free"),
                                          ("dense", "free"),
                                          ("splitstep", "potential")])
@@ -126,9 +117,9 @@ def test_series_matches_single_shot(grid, packet, engine, kind):
         spec = HamiltonianSpec.with_potential(grid, gaussian_potential(1.0))
     plan = PropagatorPlan(spec, engine, dt=1e-2)
     times = [0.5, 1.0, 2.0]
-    realized, snaps = evolve_series(plan, packet, times)
-    for t, snap in zip(realized, snaps):
-        single = evolve(plan, packet, float(t))
+    snaps = evolve_series(plan, packet, times)
+    for t, snap in zip(times, snaps):
+        single = evolve(plan, packet, t)
         if engine == "splitstep":
             assert _rel(snap, single) <= 1e-10
         else:   # one calculus, one operand order: the same bits
@@ -166,6 +157,18 @@ def test_splitstep_remainder_substep(grid):
     assert _rel(split, dense) <= 1e-5
 
 
+def test_splitstep_series_realizes_off_lattice_times(grid):
+    # every interval ends with its own fractional substep, so each snapshot
+    # is taken at the requested time, not at the nearest multiple of dt
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(1.0))
+    f = field_from_function(grid, lambda x: np.exp(-x**2))
+    times = [0.0345, 0.31, 0.6]
+    split = evolve_series(PropagatorPlan(spec, "splitstep", dt=1e-2), f, times)
+    dense = evolve_series(PropagatorPlan(spec, "dense"), f, times)
+    for a, b in zip(split, dense):
+        assert _rel(a, b) <= 1e-4
+
+
 def test_splitstep_leaves_its_input_alone(grid, packet):
     # the march runs in place on a copy; each snapshot is its own array
     spec = HamiltonianSpec.with_potential(grid, gaussian_potential(1.0))
@@ -173,7 +176,7 @@ def test_splitstep_leaves_its_input_alone(grid, packet):
     before = packet.values.copy()
     evolve(plan, packet, 0.5)
     np.testing.assert_array_equal(packet.values, before)
-    _, snaps = evolve_series(plan, packet, [0.0, 0.2, 0.5])
+    snaps = evolve_series(plan, packet, [0.0, 0.2, 0.5])
     np.testing.assert_array_equal(packet.values, before)
     arrays = [packet.values] + [s.values for s in snaps]
     for i, a in enumerate(arrays):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from obslab import hamiltonian
+from obslab import hamiltonian, spectral
 from obslab.grid import (Field, axis_coordinates, l2_norm, make_grid,
                          reflection_index)
 from obslab.hamiltonian import (HamiltonianSpec, PotentialSpec, dense_matrix,
@@ -143,6 +143,8 @@ def test_dilation_projectors_split_the_identity():
     assert decompose_dilation.cache_info().hits == hits + 1
     assert not eig.eigenvalues.flags.writeable
     assert not eig.vectors.flags.writeable
+    # one null mode per odd-sized parity block, pinned at exactly 0.0
+    assert np.count_nonzero(eig.eigenvalues == 0.0) == 2
     assert eig.residual(dilation_generator(g)) <= 1e-12
     project = eig.apply
     plus = (eig.eigenvalues >= 0.7).astype(float)
@@ -325,6 +327,14 @@ def test_dilation_generator_is_never_diagonalized_whole(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording)
     decompose_dilation.__wrapped__(make_grid(1, 8.0, 128))     # past the cache
     assert shapes == [(65, 65), (63, 63)]
+
+
+def test_dilation_null_modes_off_rounding_level_raise(monkeypatch):
+    g = make_grid(1, 8.0, 128)
+    shifted = dilation_generator(g) + 1e-6 * np.eye(g.dofs)
+    monkeypatch.setattr(spectral, "dilation_generator", lambda grid: shifted)
+    with pytest.raises(ValueError, match="null modes"):
+        decompose_dilation.__wrapped__(g)                     # past the cache
 
 
 def test_off_centre_potential_is_refused(monkeypatch):
