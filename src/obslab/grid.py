@@ -9,6 +9,7 @@ norms and masses below always carry it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,6 +98,56 @@ def reflection_index(spec: GridSpec) -> np.ndarray:
     axis = (2 * (m // 2) - np.arange(m)) % m
     flat = np.arange(spec.dofs).reshape(spec.shape)
     return flat[np.ix_(*(axis,) * spec.dim)].ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class ParityBlock:
+    """The even (sign 1) or odd (sign -1) subspace of the reflection R, in
+    folded coordinates on the representatives rep, with mirrors par = R[rep].
+
+    Even vectors are free on every j <= R j; odd ones vanish on the fixed
+    points, so the odd block keeps only the pairs j < R j.  With d = sqrt(2)
+    on a pair and 1 on a fixed point, y -> d y[rep] maps the subspace
+    isometrically onto C^rep.size; unfold inverts it, x[rep] = z / d and
+    x[par] = sign z / d, with 1/d applied as the factor `shrink`.  The same
+    permutation R maps xi -> -xi on the frequency lattice in FFT order.
+    """
+
+    sign: float
+    rep: np.ndarray
+    par: np.ndarray
+    shrink: np.ndarray      # 1/d: sqrt(1/2) on a pair, 1 on a fixed point
+    dofs: int
+
+    def fold(self, matrix: np.ndarray, cols=None) -> np.ndarray:
+        """d * matrix[rep, cols]: columns of this parity, rows on the grid."""
+        out = matrix[self.rep] if cols is None else matrix[np.ix_(self.rep, cols)]
+        out /= self.shrink[:, None]
+        return out
+
+    def unfold(self, z: np.ndarray) -> np.ndarray:
+        """The grid vectors (last axis) whose folded coordinates are z."""
+        x = np.zeros(z.shape[:-1] + (self.dofs,), dtype=z.dtype)
+        z = z * self.shrink
+        x[..., self.par] = self.sign * z
+        x[..., self.rep] = z
+        return x
+
+
+@lru_cache(maxsize=16)
+def parity_blocks(spec: GridSpec) -> tuple[ParityBlock, ParityBlock]:
+    """The (even, odd) blocks of the reflection x -> -x on this grid."""
+    r = reflection_index(spec)
+    rep = np.nonzero(np.arange(r.size) <= r)[0]
+    par = r[rep]
+    pair = rep != par
+    shrink = np.where(pair, math.sqrt(0.5), 1.0)
+    blocks = (ParityBlock(1.0, rep, par, shrink, spec.dofs),
+              ParityBlock(-1.0, rep[pair], par[pair], shrink[pair], spec.dofs))
+    for b in blocks:
+        for arr in (b.rep, b.par, b.shrink):
+            arr.flags.writeable = False
+    return blocks
 
 
 @lru_cache(maxsize=16)

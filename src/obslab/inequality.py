@@ -24,7 +24,7 @@ import numpy as np
 from .estimate import LogLogFit, PowerResult, fit_or_nan, gram_operator_norm
 from .grid import (Field, axis_coordinates, ball_weights, boundary_shell_mass,
                    concentrate, exterior_weights, freq_radius_squared, l2_norm,
-                   mass_in_region)
+                   mass_in_region, parity_blocks)
 from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
 from .propagate import PropagatorPlan, evolve, evolve_series, engine_cross_check
 from .spectral import (Interval, calculus, decompose_dilation, project_energy,
@@ -272,28 +272,37 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
     group velocity times max(times), which the caller's box geometry has to
     provide (the defaults do).
 
-    The norm is exact: g(H) has the rank k of the eigenvalues inside the
-    window, so with F = W V_A on the rows S where W > 0 and C = V_A^H V_H
-    restricted to those k eigenvectors,
+    The norm is exact.  H, A and W all commute with the reflection x -> -x
+    (W depends on |x| only), so the operator is block diagonal: an even and
+    an odd block, and its norm is the larger of theirs.  Each block is
+    factored on its folded coordinates (grid.parity_blocks: the
+    representatives j <= R j, scaled by sqrt(2) on pairs, an isometry on
+    that parity): g(H) has the rank k_p of the block's eigenvalues inside
+    the window, so with F = W V_A on the block's rows where W > 0, its A
+    columns in ascending order (chi^+/- are column ranges) and C its block
+    of V_A^H V_H,
 
         W chi^- U(t) g chi^+ W = L diag(phi) R^H,
         L = F[:, minus] C[minus],  R = F[:, plus] C[plus],
-        phi = e^{-it lam} box  (on the k eigenvalues),
+        phi = e^{-it lam} box  (on the k_p eigenvalues),
 
-    and with the QR factors L = Q_- R_-, R = Q_+ R_+ the norm is the top
-    singular value sigma of the k x k matrix R_- diag(phi) R_+^H (Golub &
-    Kahan).  Each norm is certified by a witness: the top right singular
-    vector mapped back to the grid, x = Q_+ z, is sent through the operator
-    itself; each series' cross_check is its largest | ||Kx|| - sigma | / sigma.
+    and with the QR factors L = Q_- R_-, R = Q_+ R_+ the block norm is the
+    top singular value sigma of the k_p x k_p matrix R_- diag(phi) R_+^H
+    (Golub & Kahan).  The parity labels come from the eigensolvers
+    (EigenDecomposition.parity) or, for a multiplier H, from the window
+    basis (e_xi +- e_-xi)/sqrt(2), so a multiplier H is never diagonalized.
 
-    Per threshold a the times are visited in ascending order, so the chi^-
-    column range only grows and each L is the last one plus the columns
-    that entered since (a running sum).  One stacked QR and one stacked SVD
-    then give every sigma, and the T witnesses pass through the chain once,
-    as a (T, n) block with one e^{-itH} g(H) and one chi^- per row.
+    Each norm is certified by a witness: the winning block's top right
+    singular vector mapped back, Q_+ z, unfolded to the full grid and sent
+    through the unsplit operator chain; each series' cross_check is its
+    largest | ||Kx|| - sigma | / sigma, so a wrong split shows there.
 
-    H enters only through calculus(spec) (spectrum, columns V_H, the chain's
-    f(H) leg), so a multiplier H is never diagonalized; A is, densely.
+    Per threshold a and block the times are visited in ascending order, so
+    the chi^- column range only grows and each L is the last one plus the
+    columns that entered since (a running sum).  One stacked QR and one
+    stacked SVD per block then give every sigma, and the T witnesses pass
+    through the chain once, as a (T, n) block with one e^{-itH} g(H) and one
+    chi^- per row.
     """
     g = spec.grid
     if g.dim != 1 or g.dofs > DENSE_LIMIT:
@@ -315,7 +324,7 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
     r0 = interior_fraction * g.half_extent
     xw = np.abs(axis_coordinates(g))
     w_spatial = smooth_step((4.0 * r0 / 3.0 - xw) / (r0 / 3.0))
-    alpha = eig_a.eigenvalues            # ascending: chi^+/- are column ranges
+    alpha = eig_a.eigenvalues
     times = np.asarray(times, dtype=float)
 
     def chain(x, first, middle, last):
@@ -324,34 +333,48 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
         z = calc.apply(middle, z)
         return w_spatial * eig_a.apply(last, z)
 
-    rows = np.nonzero(w_spatial > 0)[0]
-    frame = eig_a.vectors[rows]
-    frame *= w_spatial[rows, None]
-    # V_A^H V_H without a conjugated n x n copy of V_A
-    coupling = (eig_a.vectors.T @ calc.columns(keep).conj()).conj()
-
     # march the times in ascending order; results go back to the input order
     order = np.argsort(times, kind="stable")
     t_up = times[order]
     ahead = np.exp(-1j * t_up[:, None] * lam) * box      # e^{-itH} g(H), one row per t
-    phi = ahead[:, keep]
+
+    # per parity block: its window rows, A eigenvalues, frame F, coupling C
+    # (V_A^H V_H without a conjugated copy of V_A) and phi
+    blocks = []
+    for block, (a_modes, a_cols), (h_modes, h_cols) in zip(
+            parity_blocks(g), eig_a.parity_columns(np.ones(alpha.size, bool)),
+            calc.parity_columns(keep)):
+        if not h_modes.size:
+            continue
+        inside = np.flatnonzero(w_spatial[block.rep] > 0)
+        coupling = (a_cols.T @ h_cols.conj()).conj()
+        frame = a_cols[inside]
+        frame *= w_spatial[block.rep[inside], None]
+        blocks.append((block, inside, alpha[a_modes], frame, coupling,
+                       ahead[:, h_modes]))
     results = []
     constants = []
     for a in a_values:
-        first_plus = int(np.searchsorted(alpha, a, side="left"))
-        mask_plus = (alpha >= a).astype(float)
-        q_plus, r_plus = np.linalg.qr(frame[:, first_plus:] @ coupling[first_plus:])
-        ends = np.searchsorted(alpha, a + v * t_up, side="left")
-        left = np.empty((t_up.size, rows.size, phi.shape[1]), dtype=complex)
-        running = np.zeros(left.shape[1:], dtype=complex)
-        prev = 0
-        for i, end in enumerate(ends):
-            running += frame[:, prev:end] @ coupling[prev:end]
-            left[i] = running
-            prev = end
-        sigma, x_rows = factored_norm(left, phi, q_plus, r_plus)
+        sigma = np.zeros(t_up.size)
         x = np.zeros((t_up.size, g.dofs), dtype=complex)
-        x[:, rows] = x_rows
+        for block, inside, alpha_p, frame, coupling, phi in blocks:
+            first_plus = int(np.searchsorted(alpha_p, a, side="left"))
+            q_plus, r_plus = np.linalg.qr(frame[:, first_plus:] @ coupling[first_plus:])
+            ends = np.searchsorted(alpha_p, a + v * t_up, side="left")
+            left = np.empty((t_up.size,) + q_plus.shape, dtype=complex)
+            running = np.zeros(q_plus.shape, dtype=complex)
+            prev = 0
+            for i, end in enumerate(ends):
+                running += frame[:, prev:end] @ coupling[prev:end]
+                left[i] = running
+                prev = end
+            s_p, z_p = factored_norm(left, phi, q_plus, r_plus)
+            win = s_p > sigma               # a tie keeps the even block
+            sigma[win] = s_p[win]
+            z = np.zeros((int(win.sum()), block.rep.size), dtype=complex)
+            z[:, inside] = z_p[win]
+            x[win] = block.unfold(z)
+        mask_plus = (alpha >= a).astype(float)
         mask_minus = (alpha < a + v * t_up[:, None]).astype(float)
         reached = np.linalg.norm(chain(x, mask_plus, ahead, mask_minus), axis=1)
         norms = np.empty(times.size)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridSpec, reflection_index
+from .grid import Field, GridSpec, parity_blocks
 from .hamiltonian import (HamiltonianSpec, dense_matrix, dilation_generator,
                           kinetic_symbol)
 
@@ -65,9 +65,13 @@ def _stack_shape(grid: GridSpec, values: np.ndarray) -> tuple[int, ...]:
 
 class _Calculus:
     """f(H) = backward(f(spectrum) * forward(values)); subclasses supply
-    spectrum, forward (values -> coefficients), backward (-> grid shape) and
+    spectrum, forward (values -> coefficients), backward (-> grid shape),
     columns (the eigenvectors selected by a mask over spectrum, as an n x k
-    orthonormal matrix whose columns follow the flat order of spectrum).
+    orthonormal matrix whose columns follow the flat order of spectrum) and
+    parity_columns (an eigenbasis of the selected window split by the
+    reflection x -> -x: for each of grid.parity_blocks, (modes, cols) with
+    modes the flat spectrum indices of that parity's basis vectors and cols
+    their folded coordinates, block.rep.size x modes.size).
 
     forward, backward and apply also take a stack of m fields on a leading
     axis, (m, *grid.shape) or (m, dofs); the coefficients and the result keep
@@ -107,11 +111,32 @@ class FourierCalculus(_Calculus):
     def columns(self, mask: np.ndarray) -> np.ndarray:
         """The selected unit modes through one batched norm="ortho" inverse
         DFT over the grid axes."""
-        g, modes = self.grid, np.flatnonzero(mask)
-        unit = np.zeros((modes.size,) + g.shape, dtype=complex)
-        unit.reshape(modes.size, g.dofs)[np.arange(modes.size), modes] = 1.0
-        cols = np.fft.ifftn(unit, axes=tuple(range(1, g.dim + 1)), norm="ortho")
-        return cols.reshape(modes.size, g.dofs).T
+        modes = np.flatnonzero(mask)
+        unit = np.zeros((modes.size, self.grid.dofs), dtype=complex)
+        unit[np.arange(modes.size), modes] = 1.0
+        return self._synthesize(unit)
+
+    def parity_columns(self, mask: np.ndarray) -> list:
+        """The window basis pairs the modes +-xi as (e_xi +- e_-xi)/sqrt(2),
+        the unfolded unit vectors of each parity block on the frequency
+        lattice; xi = 0 and the Nyquist mode are even.  mask must be even in
+        xi, as any function of the spectrum is."""
+        mask = np.asarray(mask, dtype=bool).ravel()
+        out = []
+        for block in parity_blocks(self.grid):
+            sel = np.flatnonzero(mask[block.rep])
+            unit = np.zeros((sel.size, block.rep.size), dtype=complex)
+            unit[np.arange(sel.size), sel] = 1.0
+            cols = self._synthesize(block.unfold(unit))
+            out.append((block.rep[sel], block.fold(cols)))
+        return out
+
+    def _synthesize(self, coeff: np.ndarray) -> np.ndarray:
+        """The n x k columns whose DFT coefficients are the k rows of coeff."""
+        g, k = self.grid, coeff.shape[0]
+        cols = np.fft.ifftn(coeff.reshape((k,) + g.shape),
+                            axes=tuple(range(1, g.dim + 1)), norm="ortho")
+        return cols.reshape(k, g.dofs).T
 
 
 def _dot(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -138,6 +163,7 @@ class EigenDecomposition(_Calculus):
     eigenvalues: np.ndarray
     vectors: np.ndarray            # columns are eigenvectors
     grid: GridSpec
+    parity: np.ndarray             # per column: 1.0 even, -1.0 odd under x -> -x
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -156,6 +182,14 @@ class EigenDecomposition(_Calculus):
 
     def columns(self, mask: np.ndarray) -> np.ndarray:
         return self.vectors[:, mask]
+
+    def parity_columns(self, mask: np.ndarray) -> list:
+        """Split by the stored parity labels, ascending within each block."""
+        out = []
+        for block in parity_blocks(self.grid):
+            modes = np.flatnonzero(mask & (self.parity == block.sign))
+            out.append((modes, block.fold(self.vectors, modes)))
+        return out
 
     def residual(self, matrix: np.ndarray) -> float:
         r = matrix @ self.vectors - self.vectors * self.eigenvalues[None, :]
@@ -177,17 +211,15 @@ def _parity_blocks(h: np.ndarray, grid: GridSpec):
     """Split a Hermitian H that commutes with the reflection R: x -> -x
     (H itself, or the dilation generator) into its even and odd blocks.
 
-    Returns (even, odd, rep, par, pair): rep = {j : j <= R j} and
-    par = R[rep] list the representatives and their mirrors, pair marks the
-    representatives with rep != par.  With D = 1 on pairs and 1/sqrt(2) on
-    fixed points, even = D (H[rep, rep] + H[rep, par]) D in the orthonormal
-    basis (e_rep + e_par) / sqrt(2) (e_rep on a fixed point), and odd =
+    On the representatives rep and mirrors par of grid.parity_blocks, with
+    D = 1 on pairs and 1/sqrt(2) on fixed points, even =
+    D (H[rep, rep] + H[rep, par]) D in the orthonormal basis
+    (e_rep + e_par) / sqrt(2) (e_rep on a fixed point), and odd =
     H[rep, rep] - H[rep, par] on the pairs, in the basis
     (e_rep - e_par) / sqrt(2).  Raises when H[R, R] != H bit for bit.
     """
-    r = reflection_index(grid)
-    rep = np.nonzero(np.arange(r.size) <= r)[0]
-    par = r[rep]
+    even_block = parity_blocks(grid)[0]
+    rep, par = even_block.rep, even_block.par
     same = h[np.ix_(rep, rep)]
     cross = h[np.ix_(rep, par)]
     if not (np.array_equal(h[np.ix_(par, par)], same)
@@ -199,17 +231,18 @@ def _parity_blocks(h: np.ndarray, grid: GridSpec):
     even *= d[:, None]
     even *= d
     odd = np.subtract(same, cross, out=same)[np.ix_(pair, pair)]
-    return even, odd, rep, par, pair
+    return even, odd
 
 
 def _parity_eigh(matrix: np.ndarray, grid: GridSpec) -> EigenDecomposition:
     """Read-only eigendecomposition of a Hermitian matrix that commutes with
     x -> -x, through its even and odd blocks: each about half the size, a
     quarter of the flops of one eigh.  The matrix is freed, then each block
-    eigenvector is scattered straight to its column of one n x n basis of
-    the matrix's dtype, in ascending eigenvalue order.
+    eigenvector is unfolded straight to its column of one n x n basis of the
+    matrix's dtype, in ascending eigenvalue order; each column's parity is
+    recorded.
     """
-    even, odd, rep, par, pair = _parity_blocks(matrix, grid)
+    even, odd = _parity_blocks(matrix, grid)
     del matrix
     w_even, v_even = np.linalg.eigh(even)
     w_odd, v_odd = np.linalg.eigh(odd)
@@ -219,17 +252,19 @@ def _parity_eigh(matrix: np.ndarray, grid: GridSpec) -> EigenDecomposition:
     order = np.argsort(spectrum, kind="stable")    # merge; ties keep even first
     w = spectrum[order]
     column = np.argsort(order)                     # block column -> column of v
-    col_even, col_odd = column[:w_even.size], column[w_even.size:]
     v = np.zeros((n, n), dtype=v_even.dtype)
-    v_even *= np.where(pair, math.sqrt(0.5), 1.0)[:, None]   # c / sqrt(2) on a pair
-    v[np.ix_(rep, col_even)] = v_even
-    v[np.ix_(par, col_even)] = v_even
-    v_odd *= math.sqrt(0.5)                  # +-c / sqrt(2); 0 on fixed points
-    v[np.ix_(rep[pair], col_odd)] = v_odd
-    v[np.ix_(par[pair], col_odd)] = np.negative(v_odd, out=v_odd)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return EigenDecomposition(w, v, grid)
+    parity = np.empty(n)
+    for block, vb, cols in zip(parity_blocks(grid), (v_even, v_odd),
+                               (column[:w_even.size], column[w_even.size:])):
+        vb *= block.shrink[:, None]                # c / d, d = sqrt(2) on a pair
+        v[np.ix_(block.rep, cols)] = vb
+        if block.sign < 0:
+            np.negative(vb, out=vb)
+        v[np.ix_(block.par, cols)] = vb
+        parity[cols] = block.sign
+    for arr in (w, v, parity):
+        arr.flags.writeable = False
+    return EigenDecomposition(w, v, grid, parity)
 
 
 @lru_cache(maxsize=3)
@@ -253,7 +288,7 @@ def decompose_dilation(grid: GridSpec) -> EigenDecomposition:
         raise ValueError("dilation generator null modes are not at rounding level")
     w[null] = 0.0
     w.flags.writeable = False
-    return EigenDecomposition(w, dec.vectors, grid)
+    return EigenDecomposition(w, dec.vectors, grid, dec.parity)
 
 
 def calculus(spec: HamiltonianSpec) -> FourierCalculus | EigenDecomposition:

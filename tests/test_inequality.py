@@ -275,7 +275,8 @@ def test_stacked_outgoing_norms_match_the_per_pair_route(kind, times):
 
 def test_enss_witness_chain_runs_once_per_threshold(monkeypatch):
     # the T witnesses of a threshold go through the chain as one block: three
-    # calculus applications (chi^+, e^{-itH} g, chi^-) and one SVD stack per a
+    # calculus applications (chi^+, e^{-itH} g, chi^-) per a, and one SVD
+    # stack per a and parity block
     calls = {"apply": 0, "svd": 0}
     apply, svd = spectral._Calculus.apply, np.linalg.svd
 
@@ -295,7 +296,58 @@ def test_enss_witness_chain_runs_once_per_threshold(monkeypatch):
         calls.update(apply=0, svd=0)
         enss_decay(spec, [-5.0, 0.0, 5.0], 0.5, times)
         seen.append(dict(calls))
-    assert seen == [{"apply": 9, "svd": 3}] * 2
+    assert seen == [{"apply": 9, "svd": 6}] * 2
+
+
+def _enss_dense_operator(spec, a, v, t, window):
+    """The n x n matrix W chi^-(A - a - v t) e^{-itH} g(H) chi^+(A - a) W,
+    assembled from the full eigenbases, with enss_decay's default ramp."""
+    g = spec.grid
+    eig_a = decompose_dilation(g)
+    heig = decompose_hamiltonian(spec)
+    lam, alpha, va, vh = heig.eigenvalues, eig_a.eigenvalues, eig_a.vectors, heig.vectors
+    lo, hi = window
+    box = smooth_step((lam - lo) / 0.25) * smooth_step((hi - lam) / 0.25)
+    r0 = 0.3 * g.half_extent
+    w = smooth_step((4.0 * r0 / 3.0 - np.abs(axis_coordinates(g))) / (r0 / 3.0))
+    plus, minus = va[:, alpha >= a], va[:, alpha < a + v * t]
+    ug = (vh * (np.exp(-1j * t * lam) * box)) @ vh.T
+    k = minus @ (minus.conj().T @ ug @ plus) @ plus.conj().T
+    return w[:, None] * k * w[None, :]
+
+
+@pytest.mark.parametrize("kind, window", [
+    ("free", (1.0, 2.0)), ("potential", (1.0, 2.0)),
+    ("free", (39.0, 40.0)),         # the Nyquist mode alone: no odd block
+], ids=["free", "potential", "nyquist"])
+def test_outgoing_norms_match_the_dense_operator(kind, window):
+    # the parity split against the 2-norm of the assembled operator
+    g = make_grid(1, 32.0, 128)
+    spec = (HamiltonianSpec(g, "free") if kind == "free" else
+            HamiltonianSpec.with_potential(g, gaussian_potential(0.25)))
+    a_values, v, times = [-2.0, 0.0, 2.0], 0.5, [2.0, 4.0, 6.0]
+    res = enss_decay(spec, a_values, v, times, window=window)
+    for a, ser in zip(a_values, res.series):
+        dense = [np.linalg.norm(_enss_dense_operator(spec, a, v, t, window), 2)
+                 for t in times]
+        assert min(dense) > 1e-3
+        np.testing.assert_allclose(ser.values, dense, rtol=1e-10, atol=0)
+        assert ser.cross_check <= 1e-12
+
+
+def test_a_flipped_parity_label_fails_the_witness(monkeypatch):
+    # the witness goes through the unsplit chain: one A eigenvector filed
+    # under the wrong parity makes the split norm disagree with it
+    g = make_grid(1, 32.0, 256)
+    spec = HamiltonianSpec(g, "free")
+    eig_a = decompose_dilation(g)
+    flipped = eig_a.parity.copy()
+    j = int(np.searchsorted(eig_a.eigenvalues, 1.0))
+    flipped[j] = -flipped[j]
+    args = ([-5.0, 0.0, 5.0], 0.5, [2.0, 4.0, 6.0, 8.0])
+    assert max(s.cross_check for s in enss_decay(spec, *args).series) <= 1e-12
+    monkeypatch.setattr(eig_a, "parity", flipped)
+    assert max(s.cross_check for s in enss_decay(spec, *args).series) > 1e-8
 
 
 def test_factored_norm_of_empty_side_is_zero():

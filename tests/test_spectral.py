@@ -5,7 +5,7 @@ import pytest
 
 from obslab import hamiltonian, spectral
 from obslab.grid import (Field, axis_coordinates, l2_norm, make_grid,
-                         reflection_index)
+                         parity_blocks, reflection_index)
 from obslab.hamiltonian import (HamiltonianSpec, PotentialSpec, dense_matrix,
                                 dilation_generator, gaussian_potential)
 from obslab.spectral import (EigenDecomposition, FourierCalculus, Interval,
@@ -311,8 +311,35 @@ def test_parity_split_matches_full_eigh(grid, kind):
     even = (mirrored == v).all(axis=0)
     odd = (mirrored == -v).all(axis=0)
     assert (even ^ odd).all()
+    # the stored labels are the parities, bit for bit
+    assert (mirrored == eig.parity * v).all()
     # one even function per pair and fixed point, one odd one per pair
     assert even.sum() == (g.dofs + 2**g.dim) // 2
+
+
+@pytest.mark.parametrize("grid, kind", [("1d", "free"), ("2d", "free"),
+                                         ("1d", "gaussian_well"), ("2d", "gaussian_well")])
+def test_parity_columns_unfold_to_eigenvectors_of_their_parity(grid, kind):
+    # Fourier: (e_xi +- e_-xi)/sqrt(2) from the frequency lattice; dense: the
+    # stored labels.  Unfolded, the two blocks are one orthonormal eigenbasis
+    # of the window, each vector of its block's parity
+    g = make_grid(*_GRIDS[grid])
+    calc = calculus(_KINDS[kind](g))
+    lam = calc.spectrum.ravel()
+    window = (lam > 2.0) & (lam <= 9.0)
+    r = reflection_index(g)
+    basis, values = [], []
+    for block, (modes, cols) in zip(parity_blocks(g), calc.parity_columns(window)):
+        assert window[modes].all() and cols.shape == (block.rep.size, modes.size)
+        vecs = block.unfold(cols.T)
+        assert np.abs(vecs[:, r] - block.sign * vecs).max() <= 1e-15
+        basis.append(vecs)
+        values.append(lam[modes])
+    basis, values = np.concatenate(basis), np.concatenate(values)
+    assert basis.shape[0] == window.sum()
+    assert np.abs(basis.conj() @ basis.T - np.eye(basis.shape[0])).max() <= 1e-12
+    applied = calc.apply(lam.reshape(calc.spectrum.shape), basis).reshape(basis.shape)
+    assert np.abs(applied - values[:, None] * basis).max() <= 1e-12 * lam.max()
 
 
 def test_dilation_generator_is_never_diagonalized_whole(monkeypatch):
