@@ -274,21 +274,23 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
 
     The norm is exact.  H, A and W all commute with the reflection x -> -x
     (W depends on |x| only), so the operator is block diagonal: an even and
-    an odd block, and its norm is the larger of theirs.  Each block is
-    factored on its folded coordinates (grid.parity_blocks: the
-    representatives j <= R j, scaled by sqrt(2) on pairs, an isometry on
-    that parity): g(H) has the rank k_p of the block's eigenvalues inside
-    the window, so with F = W V_A on the block's rows where W > 0, its A
-    columns in ascending order (chi^+/- are column ranges) and C its block
-    of V_A^H V_H,
+    an odd block, and its norm is the larger of theirs.  A block on which W
+    or g vanishes adds nothing (the odd one, zero at x = 0, can have no row
+    inside a narrow W).  Each block is factored on its folded coordinates
+    (grid.parity_blocks: the representatives j <= R j, scaled by sqrt(2) on
+    pairs, an isometry on that parity): g(H) has the rank k_p of the
+    block's eigenvalues inside the window, so with F = W V_A on the block's
+    rows where W > 0, its A columns in ascending order (chi^+/- are column
+    ranges) and C its block of V_A^H V_H,
 
         W chi^- U(t) g chi^+ W = L diag(phi) R^H,
         L = F[:, minus] C[minus],  R = F[:, plus] C[plus],
         phi = e^{-it lam} box  (on the k_p eigenvalues),
 
     and with the QR factors L = Q_- R_-, R = Q_+ R_+ the block norm is the
-    top singular value sigma of the k_p x k_p matrix R_- diag(phi) R_+^H
-    (Golub & Kahan).  The parity labels come from the eigensolvers
+    top singular value sigma of R_- diag(phi) R_+^H (Golub & Kahan), a
+    square matrix of side k_p or, when W holds fewer of the block's rows,
+    that row count.  The parity labels come from the eigensolvers
     (EigenDecomposition.parity) or, for a multiplier H, from the window
     basis (e_xi +- e_-xi)/sqrt(2), so a multiplier H is never diagonalized.
 
@@ -344,9 +346,9 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
     for block, (a_modes, a_cols), (h_modes, h_cols) in zip(
             parity_blocks(g), eig_a.parity_columns(np.ones(alpha.size, bool)),
             calc.parity_columns(keep)):
-        if not h_modes.size:
-            continue
         inside = np.flatnonzero(w_spatial[block.rep] > 0)
+        if not (h_modes.size and inside.size):
+            continue                    # W or g(H) vanishes on this block
         coupling = (a_cols.T @ h_cols.conj()).conj()
         frame = a_cols[inside]
         frame *= w_spatial[block.rep[inside], None]
@@ -361,8 +363,8 @@ def enss_decay(spec: HamiltonianSpec, a_values, v: float, times,
             first_plus = int(np.searchsorted(alpha_p, a, side="left"))
             q_plus, r_plus = np.linalg.qr(frame[:, first_plus:] @ coupling[first_plus:])
             ends = np.searchsorted(alpha_p, a + v * t_up, side="left")
-            left = np.empty((t_up.size,) + q_plus.shape, dtype=complex)
-            running = np.zeros(q_plus.shape, dtype=complex)
+            left = np.empty((t_up.size, inside.size, phi.shape[1]), dtype=complex)
+            running = np.zeros(left.shape[1:], dtype=complex)
             prev = 0
             for i, end in enumerate(ends):
                 running += frame[:, prev:end] @ coupling[prev:end]

@@ -299,7 +299,7 @@ def test_enss_witness_chain_runs_once_per_threshold(monkeypatch):
     assert seen == [{"apply": 9, "svd": 6}] * 2
 
 
-def _enss_dense_operator(spec, a, v, t, window):
+def _enss_dense_operator(spec, a, v, t, window, interior_fraction):
     """The n x n matrix W chi^-(A - a - v t) e^{-itH} g(H) chi^+(A - a) W,
     assembled from the full eigenbases, with enss_decay's default ramp."""
     g = spec.grid
@@ -308,7 +308,7 @@ def _enss_dense_operator(spec, a, v, t, window):
     lam, alpha, va, vh = heig.eigenvalues, eig_a.eigenvalues, eig_a.vectors, heig.vectors
     lo, hi = window
     box = smooth_step((lam - lo) / 0.25) * smooth_step((hi - lam) / 0.25)
-    r0 = 0.3 * g.half_extent
+    r0 = interior_fraction * g.half_extent
     w = smooth_step((4.0 * r0 / 3.0 - np.abs(axis_coordinates(g))) / (r0 / 3.0))
     plus, minus = va[:, alpha >= a], va[:, alpha < a + v * t]
     ug = (vh * (np.exp(-1j * t * lam) * box)) @ vh.T
@@ -316,19 +316,25 @@ def _enss_dense_operator(spec, a, v, t, window):
     return w[:, None] * k * w[None, :]
 
 
-@pytest.mark.parametrize("kind, window", [
-    ("free", (1.0, 2.0)), ("potential", (1.0, 2.0)),
-    ("free", (39.0, 40.0)),         # the Nyquist mode alone: no odd block
-], ids=["free", "potential", "nyquist"])
-def test_outgoing_norms_match_the_dense_operator(kind, window):
+@pytest.mark.parametrize("kind, window, interior_fraction", [
+    ("free", (1.0, 2.0), 0.3), ("potential", (1.0, 2.0), 0.3),
+    ("free", (39.0, 40.0), 0.3),    # the Nyquist mode alone: no odd block
+    # more window eigenvalues per block than rows inside W
+    ("free", (1.0, 30.0), 0.1), ("potential", (1.0, 30.0), 0.1),
+    ("free", (1.0, 30.0), 0.01),    # W holds x = 0 alone: no odd rows
+], ids=["free", "potential", "nyquist", "free-wide", "potential-wide",
+        "one-row"])
+def test_outgoing_norms_match_the_dense_operator(kind, window, interior_fraction):
     # the parity split against the 2-norm of the assembled operator
     g = make_grid(1, 32.0, 128)
     spec = (HamiltonianSpec(g, "free") if kind == "free" else
             HamiltonianSpec.with_potential(g, gaussian_potential(0.25)))
     a_values, v, times = [-2.0, 0.0, 2.0], 0.5, [2.0, 4.0, 6.0]
-    res = enss_decay(spec, a_values, v, times, window=window)
+    res = enss_decay(spec, a_values, v, times, window=window,
+                     interior_fraction=interior_fraction)
     for a, ser in zip(a_values, res.series):
-        dense = [np.linalg.norm(_enss_dense_operator(spec, a, v, t, window), 2)
+        dense = [np.linalg.norm(_enss_dense_operator(spec, a, v, t, window,
+                                                     interior_fraction), 2)
                  for t in times]
         assert min(dense) > 1e-3
         np.testing.assert_allclose(ser.values, dense, rtol=1e-10, atol=0)
