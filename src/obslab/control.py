@@ -30,7 +30,7 @@ from .estimate import POWER_SEED
 from .grid import Field, exterior_weights, inner, l2_norm, mass_in_region
 from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
 from .inequality import second_observation_radius
-from .propagate import PropagatorPlan, evolve, evolve_backward
+from .propagate import PropagatorPlan, evolve, evolve_backward, evolve_stack
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,12 @@ def apply_observation(plan: PropagatorPlan, problem: ControlProblem,
 
 def apply_control(plan: PropagatorPlan, problem: ControlProblem,
                   h1: Field, h2: Field) -> Field:
-    """Terminal state u(T) of the kicked flow started from zero."""
-    g = problem.hamiltonian.grid
-    k1 = evolve(plan, Field(g, problem.mask(1) * h1.values),
-                problem.horizon - problem.tau1)
-    k2 = evolve(plan, Field(g, problem.mask(2) * h2.values),
-                problem.horizon - problem.tau2)
-    return Field(g, -1j * (k1.values + k2.values))
+    """Terminal state u(T) of the kicked flow started from zero; the two
+    kicks evolve as one stack."""
+    kicks = np.stack([problem.mask(1) * h1.values, problem.mask(2) * h2.values])
+    k = evolve_stack(plan, kicks, (problem.horizon - problem.tau1,
+                                   problem.horizon - problem.tau2))
+    return Field(problem.hamiltonian.grid, -1j * (k[0] + k[1]))
 
 
 def adjoint_defect(plan: PropagatorPlan, problem: ControlProblem,

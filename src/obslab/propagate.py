@@ -7,6 +7,7 @@ dense        exact phases in the dense eigenbasis calculus; dofs <= DENSE_LIMIT
 
 The multiplier and dense engines are the two implementations of
 spectral.calculus; splitstep is not a function of H and marches on its own.
+The phases exp(-it spectrum) are computed once per (plan, t) and reused.
 
 Every engine realizes exactly the times it is asked for: splitstep marches
 each interval in whole dt steps and ends it with one fractional substep for
@@ -24,7 +25,7 @@ import numpy as np
 from .grid import Field, GridSpec, radius_squared
 from .hamiltonian import (DENSE_LIMIT, HamiltonianSpec, kinetic_symbol,
                           potential_on_grid)
-from .spectral import calculus, decompose_hamiltonian
+from .spectral import calculus, dense_calculus
 
 ENGINES = ("multiplier", "splitstep", "dense")
 
@@ -80,10 +81,21 @@ def _splitstep_march(v: np.ndarray, spec: HamiltonianSpec, duration: float,
 
 
 def _calculus(plan: PropagatorPlan):
-    """The dense engine diagonalizes even a multiplier H; see engine_cross_check."""
+    """The calculus of the multiplier and dense engines: the Fourier calculus
+    of H, or its dense eigenbasis, which the dense engine takes even for a
+    multiplier H (the independent engine of engine_cross_check and
+    verify_control)."""
     if plan.engine == "dense":
-        return decompose_hamiltonian(plan.hamiltonian)
+        return dense_calculus(plan.hamiltonian)
     return calculus(plan.hamiltonian)
+
+
+@lru_cache(maxsize=16)
+def _phases(plan: PropagatorPlan, t: float) -> np.ndarray:
+    """Read-only exp(-it spectrum) of the plan's calculus."""
+    phase = np.exp(-1j * t * _calculus(plan).spectrum)
+    phase.flags.writeable = False
+    return phase
 
 
 def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
@@ -97,8 +109,29 @@ def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
         v = field.values.astype(complex)        # the march runs in place
         _splitstep_march(v, spec, t, plan.dt)
         return Field(field.grid, v)
-    calc = _calculus(plan)
-    return Field(field.grid, calc.apply(np.exp(-1j * t * calc.spectrum), field.values))
+    return Field(field.grid, _calculus(plan).apply(_phases(plan, t), field.values))
+
+
+def evolve_stack(plan: PropagatorPlan, values: np.ndarray, times) -> np.ndarray:
+    """e^{-i t_k H} v_k for a stack of fields v_k, shaped (m, *grid.shape),
+    each at its own time t_k >= 0.
+
+    One stacked apply with per-row phases: one batched FFT, or one matrix
+    product on the dense engine; splitstep marches the rows one by one.
+    """
+    spec = plan.hamiltonian
+    times = [float(t) for t in times]
+    if values.shape != (len(times),) + spec.grid.shape:
+        raise ValueError("need one field of the plan grid per time")
+    if any(t < 0 for t in times):
+        raise ValueError("evolve runs forward; use evolve_backward")
+    if plan.engine == "splitstep":
+        out = values.astype(complex)            # each row marches in place
+        for row, t in zip(out, times):
+            _splitstep_march(row, spec, t, plan.dt)
+        return out
+    phases = np.stack([_phases(plan, t) for t in times])
+    return _calculus(plan).apply(phases, values)
 
 
 def evolve_series(plan: PropagatorPlan, field: Field, times) -> list[Field]:
@@ -118,8 +151,7 @@ def evolve_series(plan: PropagatorPlan, field: Field, times) -> list[Field]:
     calc = _calculus(plan)
     coeff = calc.forward(field.values)
     for t in times:
-        phase = np.exp(-1j * t * calc.spectrum)
-        out.append(Field(field.grid, calc.backward(phase * coeff)))
+        out.append(Field(field.grid, calc.backward(_phases(plan, t) * coeff)))
     return out
 
 

@@ -4,6 +4,8 @@ calculus(spec) is the one place that decides how H is diagonalized:
 multiplier Hamiltonians on the frequency lattice (FFT), potential kinds
 through a dense eigendecomposition (capped at DENSE_LIMIT dofs).  Either way f(H)
 is applied as weights f(spectrum) on the spectral coefficients.
+dense_calculus(spec) is the dense eigenbasis of any H, which the dense
+engine uses even for a multiplier H.
 
 Every smooth cutoff in the package is built from smooth_step, a C-infinity
 step made of the exp(-1/x) mollifier.
@@ -12,7 +14,7 @@ step made of the exp(-1/x) mollifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -289,6 +291,23 @@ def decompose_dilation(grid: GridSpec) -> EigenDecomposition:
     w[null] = 0.0
     w.flags.writeable = False
     return EigenDecomposition(w, dec.vectors, grid, dec.parity)
+
+
+def dense_calculus(spec: HamiltonianSpec) -> EigenDecomposition:
+    """The dense eigenbasis of any H, one eigensolve per kinetic operator.
+
+    A multiplier H under the half convention is the full-convention H halved
+    bit for bit (symbol, kernel and matrix), so it reads the full entry of
+    decompose_hamiltonian with read-only halved eigenvalues; the parity
+    eigensolve of the halved matrix returns these same bits.  A potential H
+    gets its own entry: K/2 + V is no multiple of K + V.
+    """
+    if not (spec.is_multiplier and spec.convention == "half"):
+        return decompose_hamiltonian(spec)
+    full = decompose_hamiltonian(replace(spec, convention="full"))
+    w = 0.5 * full.eigenvalues
+    w.flags.writeable = False
+    return EigenDecomposition(w, full.vectors, spec.grid, full.parity)
 
 
 def calculus(spec: HamiltonianSpec) -> FourierCalculus | EigenDecomposition:

@@ -535,6 +535,20 @@ def test_splitstep_control_kicks_below_one_step(tmp_path):
     assert len(report["verdicts"]) == 8
 
 
+def test_full_and_half_control_share_one_eigensolve(tmp_path):
+    # the half free H is the full one halved: its independent dense check
+    # reads the full eigenbasis, so the pair costs one eigensolve
+    from obslab.spectral import decompose_hamiltonian
+    before = decompose_hamiltonian.cache_info().misses
+    for convention in ("full", "half"):
+        path = write_config(tmp_path / f"{convention}.json", {
+            "experiment": "control",
+            "grid": {"dim": 1, "half_extent": 28.0, "points_per_axis": 256},
+            "hamiltonian": {"kind": "free", "convention": convention}})
+        assert cli.run("control", path, str(tmp_path / convention)) == 0
+    assert decompose_hamiltonian.cache_info().misses == before + 1
+
+
 def test_schema_violation_writes_nothing(tmp_path, capsys):
     cfg = json.loads(json.dumps(SMALL_UNCERTAINTY))
     cfg["grid"]["points_per_axis"] = 7

@@ -103,6 +103,25 @@ def test_control_map_is_linear(setup):
     np.testing.assert_allclose(doubled.values, 2.0 * both.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("engine", ["multiplier", "splitstep", "dense"])
+def test_stacked_kicks_match_two_single_evolves(setup, engine):
+    g, spec, _, u0, ut, _ = setup
+    plan = PropagatorPlan(spec, engine, dt=1e-2)
+    problem = ControlProblem(spec, u0, ut, 0.5, 1.0, 2.0, 1.0, 1.0)
+    rng = np.random.default_rng(11)
+    h1, h2 = (Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+              for _ in range(2))
+    k1 = evolve(plan, Field(g, problem.mask(1) * h1.values), 1.5)
+    k2 = evolve(plan, Field(g, problem.mask(2) * h2.values), 1.0)
+    want = -1j * (k1.values + k2.values)
+    got = apply_control(plan, problem, h1, h2).values
+    if engine == "dense":
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+    else:
+        assert np.array_equal(got, want)
+
+
 def test_full_mask_solution_hits_regularization_floor(setup):
     g, spec, plan, u0, ut, problem = setup
     eps = 1e-6

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from obslab import propagate
 from obslab.grid import Field, field_from_function, l2_norm, make_grid
 from obslab.hamiltonian import HamiltonianSpec, gaussian_potential
 from obslab.propagate import (ENGINES, PropagatorPlan, engine_cross_check,
                               evolve, evolve_backward, evolve_series,
-                              free_gaussian_reference)
+                              evolve_stack, free_gaussian_reference)
+from obslab.spectral import calculus, dense_calculus
 
 
 def _rel(a: Field, b: Field) -> float:
@@ -200,3 +202,34 @@ def test_engine_cross_check_policy(grid, packet):
 
 def test_engine_names_are_stable():
     assert ENGINES == ("multiplier", "splitstep", "dense")
+
+
+def test_cached_phases_are_read_only(grid):
+    plan = PropagatorPlan(HamiltonianSpec.free(grid), "dense")
+    phase = propagate._phases(plan, 0.7)
+    assert not phase.flags.writeable
+    assert propagate._phases(plan, 0.7) is phase
+
+
+@pytest.mark.parametrize("convention", ["full", "half"])
+def test_evolve_applies_the_phases_of_its_own_engine_and_time(grid, packet, convention):
+    # both engines, and two times each, interleaved: cached phases must be
+    # those of the plan's own calculus at its own time, bit for bit
+    spec = HamiltonianSpec.free(grid, convention)
+    calcs = {"multiplier": calculus(spec), "dense": dense_calculus(spec)}
+    for t in (0.3, 0.7):
+        for engine, calc in calcs.items():
+            want = calc.apply(np.exp(-1j * t * calc.spectrum), packet.values)
+            plan = PropagatorPlan(spec, engine)
+            assert np.array_equal(evolve(plan, packet, t).values, want)
+            series = evolve_series(plan, packet, [t])
+            assert np.array_equal(series[0].values, want)
+
+
+def test_evolve_stack_needs_one_forward_time_per_field(grid, packet):
+    # its agreement with single evolves is checked through apply_control
+    plan = PropagatorPlan(HamiltonianSpec.free(grid))
+    with pytest.raises(ValueError, match="one field"):
+        evolve_stack(plan, np.stack([packet.values]), (0.5, 0.25))
+    with pytest.raises(ValueError, match="forward"):
+        evolve_stack(plan, np.stack([packet.values]), (-0.5,))

@@ -10,8 +10,8 @@ from obslab.hamiltonian import (HamiltonianSpec, PotentialSpec, dense_matrix,
                                 dilation_generator, gaussian_potential)
 from obslab.spectral import (EigenDecomposition, FourierCalculus, Interval,
                              calculus, decompose_dilation,
-                             decompose_hamiltonian, project_energy,
-                             smooth_step)
+                             decompose_hamiltonian, dense_calculus,
+                             project_energy, smooth_step)
 
 
 def test_smooth_step_profile():
@@ -372,3 +372,44 @@ def test_off_centre_potential_is_refused(monkeypatch):
                         lambda s: np.exp(-(x - 1.0) ** 2))
     with pytest.raises(ValueError, match="reflection"):
         decompose_hamiltonian(spec)
+
+
+_SHARED_GRIDS = {"1d-128": (1, 8.0, 128), "1d-512": (1, 32.0, 512),
+                 "2d-16": (2, 6.0, 16)}
+_MULTIPLIERS = {
+    "free": HamiltonianSpec.free,
+    "fractional_s1.5": lambda g, c: HamiltonianSpec.fractional(g, 1.5, c),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_SHARED_GRIDS))
+@pytest.mark.parametrize("kind", sorted(_MULTIPLIERS))
+def test_half_multiplier_dense_calculus_equals_its_own_eigensolve(grid, kind):
+    # the half multiplier H reads the full one's eigenbasis: the same
+    # vectors and parity, eigenvalues halved, bit for bit equal to a parity
+    # eigensolve of the half matrix itself
+    g = make_grid(*_SHARED_GRIDS[grid])
+    half, full = (_MULTIPLIERS[kind](g, c) for c in ("half", "full"))
+    calc = dense_calculus(half)
+    oracle = spectral._parity_eigh(dense_matrix(half), g)
+    assert np.array_equal(calc.vectors, oracle.vectors)
+    assert np.array_equal(calc.parity, oracle.parity)
+    assert np.array_equal(calc.eigenvalues, oracle.eigenvalues)
+    assert np.array_equal(calc.eigenvalues, 0.5 * decompose_hamiltonian(full).eigenvalues)
+    assert calc.vectors is decompose_hamiltonian(full).vectors
+    assert not calc.eigenvalues.flags.writeable
+
+
+def test_potential_dense_calculus_is_never_shared_across_conventions():
+    # K/2 + V is no multiple of K + V: the half potential H has its own basis
+    g = make_grid(1, 8.0, 128)
+    pot = gaussian_potential(1.0)
+    half = HamiltonianSpec.with_potential(g, pot, "half")
+    full = HamiltonianSpec.with_potential(g, pot, "full")
+    calc = dense_calculus(half)
+    assert calc is decompose_hamiltonian(half)
+    oracle = spectral._parity_eigh(dense_matrix(half), g)
+    assert np.array_equal(calc.eigenvalues, oracle.eigenvalues)
+    assert np.array_equal(calc.vectors, oracle.vectors)
+    shared = 0.5 * decompose_hamiltonian(full).eigenvalues
+    assert np.abs(calc.eigenvalues - shared).max() > 1e-3
