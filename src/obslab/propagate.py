@@ -99,17 +99,10 @@ def _phases(plan: PropagatorPlan, t: float) -> np.ndarray:
 
 
 def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
-    """e^{-itH} f for t >= 0."""
-    if t < 0:
-        raise ValueError("evolve runs forward; use evolve_backward")
-    spec = plan.hamiltonian
-    if field.grid != spec.grid:
+    """e^{-itH} f for t >= 0: a stack of one field."""
+    if field.grid != plan.hamiltonian.grid:
         raise ValueError("field grid does not match plan grid")
-    if plan.engine == "splitstep":
-        v = field.values.astype(complex)        # the march runs in place
-        _splitstep_march(v, spec, t, plan.dt)
-        return Field(field.grid, v)
-    return Field(field.grid, _calculus(plan).apply(_phases(plan, t), field.values))
+    return Field(field.grid, evolve_stack(plan, field.values[None], (t,))[0])
 
 
 def evolve_stack(plan: PropagatorPlan, values: np.ndarray, times) -> np.ndarray:
