@@ -616,6 +616,14 @@ def _run_uncertainty(cfg, spec):
     return results, verdicts, series, []
 
 
+def _fitted_values(series) -> list:
+    """exp(intercept) t^slope of a decay series' power-law fit, one per time."""
+    import numpy as np
+
+    fit = series.fit
+    return list(np.exp(fit.intercept) * np.asarray(series.times) ** fit.slope)
+
+
 def _run_minimal_velocity(cfg, spec, plan):
     from .inequality import (frequency_band_state, group_velocity_floor,
                              minimal_velocity_decay, window_localized_state)
@@ -658,12 +666,9 @@ def _run_minimal_velocity(cfg, spec, plan):
         "wrap_mass": series_data.wrap_mass,
         "engine_cross_check": series_data.cross_check,
     }
-    import numpy as np
-
-    fitted = np.exp(fit.intercept) * np.asarray(series_data.times) ** fit.slope
     series = [("decay.csv", {"t": list(series_data.times),
                              "value": list(series_data.values),
-                             "fitted_value": list(fitted)})]
+                             "fitted_value": _fitted_values(series_data)})]
     return results, verdicts, series, []
 
 
@@ -698,22 +703,18 @@ def _run_enss(cfg, spec):
         "max_series_slope": res.max_series.fit.slope,
         "witness_defect": [s.cross_check for s in res.series],
     }
-    import numpy as np
-
     aa, tt, vv, ff = [], [], [], []
     for a, s in zip(res.thresholds, res.series):
-        fitted = np.exp(s.fit.intercept) * np.asarray(s.times) ** s.fit.slope
-        for t, v, fv in zip(s.times, s.values, fitted):
+        for t, v, fv in zip(s.times, s.values, _fitted_values(s)):
             aa.append(float(a))
             tt.append(float(t))
             vv.append(float(v))
             ff.append(float(fv))
     series = [("decay.csv", {"a": aa, "t": tt, "value": vv, "fitted_value": ff})]
     s = res.max_series
-    fitted = np.exp(s.fit.intercept) * np.asarray(s.times) ** s.fit.slope
     series.append(("max_decay.csv", {"t": list(s.times),
                                      "value": list(s.values),
-                                     "fitted_value": list(fitted)}))
+                                     "fitted_value": _fitted_values(s)}))
     return results, verdicts, series, []
 
 
@@ -816,11 +817,8 @@ def _run_sharpness(cfg, spec, plan):
 
 
 def _run_control(cfg, spec, plan):
-    import numpy as np
-
     from .control import (ControlProblem, adjoint_defect, epsilon_path,
                           solve_impulse_control, verify_control)
-    from .grid import l2_norm, Field
     from .propagate import evolve
 
     grid = spec.grid
@@ -840,9 +838,7 @@ def _run_control(cfg, spec, plan):
 
     path = epsilon_path(plan, problem, p["epsilons"])
     final = path[-1]
-    yv = u_t.values - drift.values
-    ynorm = math.sqrt(grid.cell_volume * float(np.vdot(yv, yv).real))
-    terminal_rel = final.terminal_error / ynorm if ynorm > 0 else 0.0
+    terminal_rel = final.terminal_error / final.y_norm if final.y_norm > 0 else 0.0
 
     terms = [s.terminal_error for s in path]
     costs = [s.cost for s in path]
@@ -879,7 +875,7 @@ def _run_control(cfg, spec, plan):
                  "regions"),
     ]
     results = {
-        "y_norm": ynorm,
+        "y_norm": final.y_norm,
         "adjoint_defect": adjoint,
         "terminal_error": final.terminal_error,
         "terminal_error_relative": terminal_rel,
@@ -1155,14 +1151,17 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
 
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        print("error: --seed must fit in 64 bits", file=sys.stderr)
+        return 1
     if args.threads is not None:
+        if args.threads < 1:
+            print("error: --threads must be at least 1", file=sys.stderr)
+            return 1
         for var in THREAD_VARS:
             os.environ[var] = str(args.threads)
 
     out_dir = os.environ.get("OBSLAB_OUT", args.out)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("error: --seed must fit in 64 bits", file=sys.stderr)
-        return 1
     return run(args.experiment, args.config, out_dir,
                engine=vars(args).get("engine"), seed=args.seed,
                threads=args.threads)

@@ -16,6 +16,10 @@ y = u_T - U(T) u0 leads to the normal equations
 solved by conjugate gradients; the controls are (h_1, h_2) = O f*.  The i in
 the right-hand side compensates the -i of the kick convention, so the
 reconstructed terminal state misses y by exactly 2 eps f*.
+
+apply_observation (O, one masked stack at the signed times tau_i - T) and
+apply_control (-i O*, one stack of the masked kicks) are the pair that
+adjoint_defect checks and conjugate gradients applies.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .estimate import POWER_SEED
 from .grid import Field, exterior_weights, inner, l2_norm, mass_in_region
 from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
 from .inequality import second_observation_radius
-from .propagate import PropagatorPlan, evolve, evolve_backward, evolve_stack
+from .propagate import PropagatorPlan, evolve, evolve_stack
 
 
 @dataclass(frozen=True)
@@ -78,21 +82,25 @@ class ControlProblem:
 
 def apply_observation(plan: PropagatorPlan, problem: ControlProblem,
                       f: Field) -> tuple[Field, Field]:
-    """Dual state U(tau_i - T) f, masked at both observation times."""
+    """O f: the dual state U(tau_i - T) f, masked at both observation times."""
     g = problem.hamiltonian.grid
-    b1 = evolve_backward(plan, f, problem.horizon - problem.tau1)
-    b2 = evolve_backward(plan, f, problem.horizon - problem.tau2)
-    return (Field(g, problem.mask(1) * b1.values),
-            Field(g, problem.mask(2) * b2.values))
+    b = evolve_stack(plan, np.stack([f.values, f.values]),
+                     (problem.tau1 - problem.horizon,
+                      problem.tau2 - problem.horizon))
+    return Field(g, problem.mask(1) * b[0]), Field(g, problem.mask(2) * b[1])
+
+
+def _kicked(plan, problem, h1, h2):
+    """The two terms U(T - tau_i) M_i h_i of O* (h1, h2), evolved as one stack."""
+    kicks = np.stack([problem.mask(1) * h1.values, problem.mask(2) * h2.values])
+    return evolve_stack(plan, kicks, (problem.horizon - problem.tau1,
+                                      problem.horizon - problem.tau2))
 
 
 def apply_control(plan: PropagatorPlan, problem: ControlProblem,
                   h1: Field, h2: Field) -> Field:
-    """Terminal state u(T) of the kicked flow started from zero; the two
-    kicks evolve as one stack."""
-    kicks = np.stack([problem.mask(1) * h1.values, problem.mask(2) * h2.values])
-    k = evolve_stack(plan, kicks, (problem.horizon - problem.tau1,
-                                   problem.horizon - problem.tau2))
+    """Terminal state u(T) of the kicked flow started from zero: -i O* (h1, h2)."""
+    k = _kicked(plan, problem, h1, h2)
     return Field(problem.hamiltonian.grid, -1j * (k[0] + k[1]))
 
 
@@ -124,19 +132,8 @@ class ControlSolution:
     iterations: int
     converged: bool
     gradient_norm: float
+    y_norm: float                 # || u_target - U(T) u0 ||, what is steered
     j_path: list = dfield(default_factory=list)
-
-
-def _gram_apply(plan, problem, values, epsilon):
-    # (O*O + 2 eps) without the phase dance: U(T-tau_i) M_i U(tau_i-T)
-    g = problem.hamiltonian.grid
-    f = Field(g, values)
-    out = 2.0 * epsilon * values.astype(complex)
-    for idx, tau in ((1, problem.tau1), (2, problem.tau2)):
-        b = evolve_backward(plan, f, problem.horizon - tau)
-        masked = Field(g, problem.mask(idx) * b.values)
-        out = out + evolve(plan, masked, problem.horizon - tau).values
-    return out
 
 
 def solve_impulse_control(plan: PropagatorPlan, problem: ControlProblem,
@@ -149,10 +146,11 @@ def solve_impulse_control(plan: PropagatorPlan, problem: ControlProblem,
     cell = g.cell_volume
     drift = evolve(plan, problem.u0, problem.horizon)
     y = problem.u_target.values - drift.values
-    ynorm = math.sqrt(cell * float(np.vdot(y, y).real))
+    ynorm = l2_norm(Field(g, y))
     zero = Field(g, np.zeros(g.shape, dtype=complex))
     if ynorm == 0.0:
-        return ControlSolution(zero, zero, zero, 0.0, 0.0, 0, True, 0.0, [0.0])
+        return ControlSolution(zero, zero, zero, 0.0, 0.0, 0, True, 0.0, 0.0,
+                               [0.0])
 
     target = 1j * y
     f = np.zeros(g.shape, dtype=complex)
@@ -164,7 +162,8 @@ def solve_impulse_control(plan: PropagatorPlan, problem: ControlProblem,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        gp = _gram_apply(plan, problem, p, epsilon)
+        k = _kicked(plan, problem, *apply_observation(plan, problem, Field(g, p)))
+        gp = 2.0 * epsilon * p + k[0] + k[1]        # (O* O + 2 eps) p
         denom = cell * float(np.vdot(p, gp).real)
         if denom <= 0:
             break
@@ -185,11 +184,10 @@ def solve_impulse_control(plan: PropagatorPlan, problem: ControlProblem,
 
     h1, h2 = apply_observation(plan, problem, Field(g, f))
     reached = apply_control(plan, problem, h1, h2)
-    terminal = math.sqrt(cell * float(np.vdot(reached.values - y,
-                                              reached.values - y).real))
+    terminal = l2_norm(Field(g, reached.values - y))
     cost = l2_norm(h1) ** 2 + l2_norm(h2) ** 2
     return ControlSolution(h1, h2, Field(g, f), terminal, cost, iterations,
-                           converged, math.sqrt(rr), j_path)
+                           converged, math.sqrt(rr), ynorm, j_path)
 
 
 @dataclass
@@ -211,11 +209,10 @@ def verify_control(plan: PropagatorPlan, problem: ControlProblem,
     elif spec.is_multiplier and plan.engine != "multiplier":
         engine = "multiplier"
     check_plan = PropagatorPlan(spec, engine, dt=plan.dt)
-    g = spec.grid
     drift = evolve(check_plan, problem.u0, problem.horizon)
     reached = apply_control(check_plan, problem, solution.h1, solution.h2)
-    diff = drift.values + reached.values - problem.u_target.values
-    residual = math.sqrt(g.cell_volume * float(np.vdot(diff, diff).real))
+    residual = l2_norm(Field(spec.grid, drift.values + reached.values
+                             - problem.u_target.values))
     tnorm = l2_norm(problem.u_target)
     sup = max(math.sqrt(mass_in_region(h, 1.0 - problem.mask(idx)))
               for idx, h in ((1, solution.h1), (2, solution.h2)))

@@ -7,12 +7,12 @@ dense        exact phases in the dense eigenbasis calculus; dofs <= DENSE_LIMIT
 
 The multiplier and dense engines are the two implementations of
 spectral.calculus; splitstep is not a function of H and marches on its own.
-The phases exp(-it spectrum) are computed once per (plan, t) and reused.
+The phases exp(-it spectrum) are computed once per (plan, t >= 0) and reused.
 
 Every engine realizes exactly the times it is asked for: splitstep marches
 each interval in whole dt steps and ends it with one fractional substep for
-the remainder.  Backward evolution goes through conjugation, which is valid
-because every symbol here is real and even and every potential is real.
+the remainder.  A negative time t runs as conj(e^{itH} conj(v)) = e^{-itH} v,
+valid because every symbol here is real and even and every potential is real.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _phases(plan: PropagatorPlan, t: float) -> np.ndarray:
 
 
 def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
-    """e^{-itH} f for t >= 0: a stack of one field."""
+    """e^{-itH} f for a signed t: a stack of one field."""
     if field.grid != plan.hamiltonian.grid:
         raise ValueError("field grid does not match plan grid")
     return Field(field.grid, evolve_stack(plan, field.values[None], (t,))[0])
@@ -107,7 +107,7 @@ def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
 
 def evolve_stack(plan: PropagatorPlan, values: np.ndarray, times) -> np.ndarray:
     """e^{-i t_k H} v_k for a stack of fields v_k, shaped (m, *grid.shape),
-    each at its own time t_k >= 0.
+    each at its own signed time t_k.
 
     One stacked apply with per-row phases: one batched FFT, or one matrix
     product on the dense engine; splitstep marches the rows one by one.
@@ -116,15 +116,19 @@ def evolve_stack(plan: PropagatorPlan, values: np.ndarray, times) -> np.ndarray:
     times = [float(t) for t in times]
     if values.shape != (len(times),) + spec.grid.shape:
         raise ValueError("need one field of the plan grid per time")
-    if any(t < 0 for t in times):
-        raise ValueError("evolve runs forward; use evolve_backward")
+    back = [k for k, t in enumerate(times) if t < 0]
+    if back:                # conjugate in, forward through |t|, conjugate out
+        values = np.stack([np.conj(v) if t < 0 else v
+                           for v, t in zip(values, times)])
     if plan.engine == "splitstep":
         out = values.astype(complex)            # each row marches in place
         for row, t in zip(out, times):
-            _splitstep_march(row, spec, t, plan.dt)
-        return out
-    phases = np.stack([_phases(plan, t) for t in times])
-    return _calculus(plan).apply(phases, values)
+            _splitstep_march(row, spec, abs(t), plan.dt)
+    else:
+        phases = np.stack([_phases(plan, abs(t)) for t in times])
+        out = _calculus(plan).apply(phases, values)
+    out[back] = np.conj(out[back])
+    return out
 
 
 def evolve_series(plan: PropagatorPlan, field: Field, times) -> list[Field]:
@@ -149,11 +153,10 @@ def evolve_series(plan: PropagatorPlan, field: Field, times) -> list[Field]:
 
 
 def evolve_backward(plan: PropagatorPlan, field: Field, t: float) -> Field:
-    """e^{+itH} f for t >= 0, via conjugation (real even symbol, real V)."""
+    """e^{+itH} f for t >= 0: evolve at -t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    back = evolve(plan, Field(field.grid, np.conj(field.values)), t)
-    return Field(field.grid, np.conj(back.values))
+    return evolve(plan, field, -t)
 
 
 def free_gaussian_reference(grid: GridSpec, width: float, t: float,

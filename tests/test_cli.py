@@ -691,6 +691,17 @@ def test_main_rejects_wide_seed(tmp_path, capsys):
     assert "64 bits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_main_rejects_threads_below_one(threads, tmp_path, capsys, monkeypatch):
+    for var in cli.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert cli.main(["uncertainty", "--threads", threads,
+                     "--out", str(tmp_path / "x")]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not any(var in os.environ for var in cli.THREAD_VARS)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["uncertainty", "--bogus"],
     ["nosuch"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from obslab.control import (ControlProblem, adjoint_defect, apply_control,
-                            epsilon_path, solve_impulse_control, verify_control)
+                            apply_observation, epsilon_path, solve_impulse_control, verify_control)
 from obslab.grid import Field, l2_norm, make_grid, radius_squared
 from obslab.hamiltonian import HamiltonianSpec
 from obslab.propagate import PropagatorPlan, evolve
@@ -151,6 +151,21 @@ def test_masked_problem_verifies_on_second_engine(setup):
     assert check.support_violation == 0.0
     assert check.within_factor < 2.0
     assert check.residual_relative < 1.0
+
+
+def test_dual_solves_normal_equations_of_the_public_pair(setup):
+    # CG inverts O* O + 2 eps with O = apply_observation, i O* = apply_control
+    g, spec, plan, u0, ut, _ = setup
+    problem = ControlProblem(spec, u0, ut, 0.5, 1.0, 2.0, 1.0, 1.0)
+    eps, tol = 1e-4, 1e-8
+    sol = solve_impulse_control(plan, problem, eps, tol=tol)
+    assert sol.converged
+    y = ut.values - evolve(plan, u0, 2.0).values
+    assert sol.y_norm == pytest.approx(l2_norm(Field(g, y)), rel=1e-14)
+    f = sol.dual
+    gram = 1j * apply_control(plan, problem, *apply_observation(plan, problem, f)).values
+    miss = Field(g, 2.0 * eps * f.values + gram - 1j * y)
+    assert l2_norm(miss) <= tol * sol.y_norm
 
 
 def test_epsilon_ladder_trades_error_for_cost(setup):

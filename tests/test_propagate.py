@@ -101,9 +101,11 @@ def test_unitarity_across_engines(grid, packet):
 
 
 def test_negative_time_and_grid_mismatch_raise(grid, packet):
+    # evolve takes signed times; evolve_backward, which negates its own,
+    # keeps t >= 0
     plan = PropagatorPlan(HamiltonianSpec.free(grid))
     with pytest.raises(ValueError):
-        evolve(plan, packet, -0.1)
+        evolve_backward(plan, packet, -0.1)
     other = field_from_function(make_grid(1, 16.0, 128), lambda x: np.exp(-x**2))
     with pytest.raises(ValueError):
         evolve(plan, other, 0.1)
@@ -226,10 +228,38 @@ def test_evolve_applies_the_phases_of_its_own_engine_and_time(grid, packet, conv
             assert np.array_equal(series[0].values, want)
 
 
-def test_evolve_stack_needs_one_forward_time_per_field(grid, packet):
-    # its agreement with single evolves is checked through apply_control
+def test_evolve_stack_needs_one_time_per_field(grid, packet):
     plan = PropagatorPlan(HamiltonianSpec.free(grid))
     with pytest.raises(ValueError, match="one field"):
         evolve_stack(plan, np.stack([packet.values]), (0.5, 0.25))
-    with pytest.raises(ValueError, match="forward"):
-        evolve_stack(plan, np.stack([packet.values]), (-0.5,))
+
+
+@pytest.mark.parametrize("engine,kind", [("multiplier", "free"),
+                                         ("dense", "free"),
+                                         ("splitstep", "potential")])
+def test_evolve_stack_takes_mixed_sign_times(grid, packet, engine, kind):
+    # a row at t < 0 is conj(e^{-i|t|H} conj(v)), the same arithmetic as one
+    # evolve, or one evolve_backward, of that row alone
+    if kind == "free":
+        spec = HamiltonianSpec.free(grid)
+    else:
+        spec = HamiltonianSpec.with_potential(grid, gaussian_potential(1.0))
+    plan = PropagatorPlan(spec, engine, dt=1e-2)
+    rng = np.random.default_rng(5)
+    rows = [packet.values, rng.standard_normal(grid.shape)
+            + 1j * rng.standard_normal(grid.shape), 1j * packet.values[::-1]]
+    times = (0.5, -0.7, -0.2)
+    got = evolve_stack(plan, np.stack(rows), times)
+    for row, t, v in zip(got, times, rows):
+        f = Field(grid, v)
+        if t >= 0:
+            want = evolve(plan, f, t).values
+        else:
+            want = np.conj(evolve(plan, Field(grid, np.conj(v)), -t).values)
+            assert np.array_equal(evolve_backward(plan, f, -t).values, want)
+            assert np.array_equal(evolve(plan, f, t).values, want)
+        if engine == "dense":
+            np.testing.assert_allclose(row, want, rtol=1e-13,
+                                       atol=1e-13 * np.abs(want).max())
+        else:
+            assert np.array_equal(row, want)

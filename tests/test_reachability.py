@@ -1,5 +1,5 @@
 """Every public function, class, method and property of the library has a
-consumer.
+consumer, and every import a use.
 
 A public top-level name counts as reached when some other part of
 src/obslab refers to it (as a name, an attribute or an import), or when
@@ -107,3 +107,31 @@ def test_every_public_definition_is_reached():
                     unreached.append(member.name)
     # an allowlisted name that gains a consumer, or goes, leaves the list
     assert sorted(unreached) == sorted(ALLOWED)
+
+
+def _imports(tree):
+    """(scope, name, line) for every name an import binds, __future__ aside;
+    the scope is the innermost function around the import, or the module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.Import, ast.ImportFrom))
+                    and getattr(child, "module", None) != "__future__"):
+                found.extend((scope, (a.asname or a.name).split(".")[0],
+                              child.lineno) for a in child.names)
+            visit(child, child if isinstance(child, ast.FunctionDef) else scope)
+
+    visit(tree, tree)
+    return found
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "obslab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, name, line in _imports(tree):
+            if not any(isinstance(n, ast.Name) and n.id == name
+                       for n in ast.walk(scope)):
+                unused.append(f"{path.name}:{line} {name}")
+    assert unused == []
