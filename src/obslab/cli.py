@@ -173,7 +173,7 @@ _PARAM_SCHEMAS = {
                 "required": ["tightness", "support_radius", "support_ramp"],
                 "additionalProperties": False,
             },
-            "ks": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2},
+            "ks": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2, "uniqueItems": True},
             "r1": {"type": "number", "exclusiveMinimum": 0},
             "sigma": {"type": "number", "exclusiveMinimum": 0},
             "t": {"type": "number", "exclusiveMinimum": 0},
@@ -723,9 +723,10 @@ def _run_observability(cfg, spec, plan):
 
     p = cfg["parameters"]
     u0 = _packet_field(spec.grid, p["packet"])
+    gaps = sorted(p["gaps"])
 
     runs = []
-    for gap in p["gaps"]:
+    for gap in gaps:
         runs.append(observability_ratio(plan, u0, p["radius"], p["t1"],
                                         p["t1"] + gap, p["sigma"]))
     ratios = [r.ratio for r in runs]
@@ -748,7 +749,7 @@ def _run_observability(cfg, spec, plan):
     ]
     verdicts += _cross_check_verdicts([r.cross_check for r in runs])
     results = {
-        "gaps": list(p["gaps"]),
+        "gaps": gaps,
         "ratios": ratios,
         "exterior_first": [r.exterior_first for r in runs],
         "exterior_second": [r.exterior_second for r in runs],
@@ -758,7 +759,7 @@ def _run_observability(cfg, spec, plan):
         "engine_cross_checks": [r.cross_check for r in runs],
     }
     series = [("observability.csv", {
-        "gap": [float(g) for g in p["gaps"]],
+        "gap": [float(g) for g in gaps],
         "ratio": ratios,
         "exterior_first": [r.exterior_first for r in runs],
         "exterior_second": [r.exterior_second for r in runs],

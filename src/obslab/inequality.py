@@ -27,8 +27,7 @@ from .grid import (Field, axis_coordinates, ball_weights, boundary_shell_mass,
                    mass_in_region, parity_blocks)
 from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
 from .propagate import PropagatorPlan, evolve, evolve_series, engine_cross_check
-from .spectral import (Interval, calculus, decompose_dilation, project_energy,
-                       smooth_step)
+from .spectral import Interval, calculus, decompose_dilation, smooth_step
 
 MASS_FIT_FLOOR = 1e-26    # interior masses at or below it are rounding dust
 LOCALIZATION_TOL = 1e-8   # psi lies in a window within this of chi_window(H) psi
@@ -53,35 +52,43 @@ def uncertainty_norm(spec: HamiltonianSpec, radius: float,
     """||chi(|x| <= radius) chi(H <= threshold)|| by Lanczos on the Gram
     operator P chi P, P the spectral projector; an empty window gives the
     exact zero after no iteration."""
-    window = Interval(-math.inf, threshold)
     calc = calculus(spec)
-    if not window.contains(calc.spectrum).any():
+    mask = Interval(-math.inf, threshold).contains(calc.spectrum).astype(float)
+    if not mask.any():
         return PowerResult(0.0, 0, 0.0, True)
-    proj = calc.projector(window)
     inside = ball_weights(spec.grid, radius).ravel()
 
     def gram(v: np.ndarray) -> np.ndarray:
-        return proj(inside * proj(v).ravel()).ravel()
+        return calc.apply(mask, inside * calc.apply(mask, v).ravel()).ravel()
 
     return gram_operator_norm(gram, spec.grid.dofs)
 
 
+def _window_norms(spec: HamiltonianSpec, radii, thresholds) -> np.ndarray:
+    """SVD oracle: entry (i, j) is the top singular value of the eigenvectors
+    of H <= thresholds[j] (calculus(spec).columns) restricted to the ball
+    |x| <= radii[i], 0.0 for an empty window.  The widest window's columns
+    are synthesized once and each ball's rows taken once; a narrower window's
+    columns are a subset of them in the flat order of spectrum, so each cell
+    is the matrix its own window's columns would give."""
+    calc = calculus(spec)
+    norms = np.zeros((len(radii), len(thresholds)))
+    widest = Interval(-math.inf, max(thresholds)).contains(calc.spectrum)
+    cols = calc.columns(widest)
+    kept = calc.spectrum[widest]
+    subsets = [Interval(-math.inf, d).contains(kept) for d in thresholds]
+    for i, r in enumerate(radii):
+        rows = cols[np.flatnonzero(ball_weights(spec.grid, r))]
+        for j, sub in enumerate(subsets):
+            if sub.any():
+                norms[i, j] = np.linalg.svd(rows[:, sub], compute_uv=False)[0]
+    return norms
+
+
 def uncertainty_norm_dense(spec: HamiltonianSpec, radius: float,
                            threshold: float) -> float:
-    """SVD oracle for the same norm: the top singular value of the window's
-    eigenvectors restricted to the ball.
-
-    The eigenvectors are calculus(spec).columns: Fourier modes at any grid
-    size for multiplier kinds, the dense eigenbasis (DENSE_LIMIT) otherwise.
-    """
-    window = Interval(-math.inf, threshold)
-    calc = calculus(spec)
-    mask = window.contains(calc.spectrum)
-    if not mask.any():
-        return 0.0
-    inside = np.flatnonzero(ball_weights(spec.grid, radius))
-    thin = calc.columns(mask)[inside]
-    return float(np.linalg.svd(thin, compute_uv=False)[0])
+    """The SVD oracle's one cell (radius, threshold)."""
+    return float(_window_norms(spec, [radius], [threshold])[0, 0])
 
 
 @dataclass
@@ -103,10 +110,7 @@ def uncertainty_scan(spec: HamiltonianSpec, radii, thresholds) -> UncertaintySca
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     thresholds = np.sort(np.asarray(thresholds, dtype=float))
-    norms = np.zeros((radii.size, thresholds.size))
-    for i, r in enumerate(radii):
-        for j, d in enumerate(thresholds):
-            norms[i, j] = uncertainty_norm_dense(spec, r, d)
+    norms = _window_norms(spec, radii, thresholds)
 
     violations = 0
     slack = 1e-9
@@ -154,7 +158,8 @@ def frequency_band_state(spec: HamiltonianSpec, xi_lo: float, xi_hi: float,
 
 def _window_defect(spec: HamiltonianSpec, window: Interval, psi: Field) -> float:
     """Relative distance of psi from chi_window(H) psi."""
-    proj = project_energy(spec, window, psi).values
+    calc = calculus(spec)
+    proj = calc.apply(window.contains(calc.spectrum).astype(float), psi.values)
     return float(np.linalg.norm(proj - psi.values)
                  / max(np.linalg.norm(psi.values), 1e-300))
 
@@ -473,9 +478,10 @@ class SharpnessTable:
 
 def sharpness_sequence(plan: PropagatorPlan, f: Field, ks, r1: float,
                        sigma: float, t: float) -> SharpnessTable:
-    """Concentrating family f_k = U_k f: exterior mass at r1 and evolved
-    interior mass inside sigma t, both of which should shrink with k."""
+    """Concentrating family f_k = U_k f, k ascending: exterior mass at r1
+    and evolved interior mass inside sigma t, both of which should shrink."""
     g = f.grid
+    ks = sorted(ks)
     exterior = []
     interior = []
     wrap = 0.0
@@ -488,6 +494,6 @@ def sharpness_sequence(plan: PropagatorPlan, f: Field, ks, r1: float,
     exterior = np.asarray(exterior)
     interior = np.asarray(interior)
     dec = bool(np.all(np.diff(exterior) < 0) and np.all(np.diff(interior) < 0))
-    return SharpnessTable(list(ks), exterior, interior, dec,
+    return SharpnessTable(ks, exterior, interior, dec,
                           float(exterior[-1] / exterior[0]),
                           float(interior[-1] / interior[0]), wrap)

@@ -166,7 +166,7 @@ def free_gaussian_reference(grid: GridSpec, width: float, t: float,
     u(x, t) = w^n (w^2 + 2 i kappa t)^{-n/2} exp(-|x|^2 / (2 (w^2 + 2 i kappa t)))
     with kappa the kinetic prefactor.  t = 0 returns the initial Gaussian.
     """
-    kappa = 1.0 if convention == "full" else 0.5
+    kappa = HamiltonianSpec.free(grid, convention).kinetic_prefactor
     a = width**2 + 2j * kappa * t
     r2 = radius_squared(grid)
     vals = width**grid.dim * a ** (-grid.dim / 2.0) * np.exp(-r2 / (2.0 * a))

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridSpec, parity_blocks
+from .grid import GridSpec, parity_blocks
 from .hamiltonian import (HamiltonianSpec, dense_matrix, dilation_generator,
                           kinetic_symbol)
 
@@ -84,11 +84,6 @@ class _Calculus:
     def apply(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
         """f(H) values for weights = f(spectrum); returns grid-shaped values."""
         return self.backward(weights * self.forward(values))
-
-    def projector(self, interval: Interval):
-        """chi_interval(H) as a function of (possibly flattened) values."""
-        mask = interval.contains(self.spectrum).astype(float)
-        return lambda values: self.apply(mask, values)
 
 
 @dataclass(eq=False)
@@ -198,16 +193,6 @@ class EigenDecomposition(_Calculus):
         scale = 1.0 + np.abs(self.eigenvalues).max()
         return float(np.abs(r).max() / scale)
 
-    def projector(self, interval: Interval):
-        """Column-subset form V_I V_I^H, which skips the eigenvectors outside I.
-
-        The eigenvalues ascend, so V_I is one column range: a view of V.
-        """
-        idx = np.flatnonzero(interval.contains(self.eigenvalues))
-        vi = self.vectors[:, idx[0]:idx[-1] + 1] if idx.size else self.vectors[:, :0]
-        shape = self.grid.shape
-        return lambda values: _dot(vi, _dot(vi.T, values.ravel().conj()).conj()).reshape(shape)
-
 
 def _parity_blocks(h: np.ndarray, grid: GridSpec):
     """Split a Hermitian H that commutes with the reflection R: x -> -x
@@ -315,8 +300,3 @@ def calculus(spec: HamiltonianSpec) -> FourierCalculus | EigenDecomposition:
     if spec.is_multiplier:
         return FourierCalculus(kinetic_symbol(spec), spec.grid)
     return decompose_hamiltonian(spec)
-
-
-def project_energy(spec: HamiltonianSpec, interval: Interval, field: Field) -> Field:
-    """Sharp projection chi_I(H) f."""
-    return Field(field.grid, calculus(spec).projector(interval)(field.values))

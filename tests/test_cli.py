@@ -489,6 +489,34 @@ def test_failed_verdict_still_reports(tmp_path):
     assert by_name["lanczos_vs_dense"]["pass"] is True
 
 
+@pytest.mark.parametrize("experiment, key, ladder, series", [
+    ("observability", "gaps", [40.0, 20.0, 10.0], "observability.csv"),
+    ("sharpness", "ks", [8, 4, 2, 1], "sharpness.csv"),
+])
+def test_a_reversed_ladder_reports_the_ascending_results(
+        experiment, key, ladder, series, tmp_path):
+    # verdicts read the ladder in ascending order, whatever the config's
+    assert cli.resolve_config(experiment, {})["parameters"][key] == ladder[::-1]
+    canned, reversed_ = tmp_path / "canned", tmp_path / "reversed"
+    assert cli.run(experiment, None, str(canned)) == 0
+    path = write_config(tmp_path / "cfg.json", {"parameters": {key: ladder}})
+    assert cli.run(experiment, path, str(reversed_)) == 0
+    results = [json.loads((out / "report.json").read_text())["results"]
+               for out in (canned, reversed_)]
+    assert results[1][key] == ladder[::-1]
+    assert results[1] == results[0]
+    assert filecmp.cmp(canned / series, reversed_ / series, shallow=False)
+
+
+def test_a_repeated_k_exits_1_and_writes_nothing(tmp_path, capsys):
+    # a repeated k can never shrink both columns strictly
+    path = write_config(tmp_path / "cfg.json", {"parameters": {"ks": [1, 2, 2, 4]}})
+    out = tmp_path / "out"
+    assert cli.run("sharpness", path, str(out)) == 1
+    assert not out.exists()
+    assert "non-unique" in capsys.readouterr().err
+
+
 def _starved_run(tmp_path, monkeypatch, module, solver, experiment, overlay):
     # cap the solver at two iterations; the run still completes and reports
     monkeypatch.setattr(module, solver,

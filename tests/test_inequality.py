@@ -6,19 +6,26 @@ import numpy as np
 import pytest
 
 from obslab.estimate import gram_operator_norm
-from obslab.grid import Field, axis_coordinates, make_grid
+from obslab.grid import Field, axis_coordinates, ball_weights, make_grid
 from obslab.hamiltonian import HamiltonianSpec, gaussian_potential
-from obslab.inequality import (enss_decay, factored_norm, frequency_band_state,
-                               group_velocity_floor, minimal_velocity_decay,
-                               observability_ratio,
+from obslab.inequality import (_window_norms, enss_decay, factored_norm,
+                               frequency_band_state, group_velocity_floor,
+                               minimal_velocity_decay, observability_ratio,
                                sharpness_sequence, uncertainty_norm,
                                uncertainty_norm_dense, uncertainty_scan,
                                window_localized_state)
 from obslab import spectral
 from obslab.propagate import PropagatorPlan
-from obslab.spectral import (Interval, calculus, decompose_dilation,
-                             decompose_hamiltonian, project_energy,
-                             smooth_step)
+from obslab.spectral import (EigenDecomposition, FourierCalculus, Interval,
+                             calculus, decompose_dilation,
+                             decompose_hamiltonian, smooth_step)
+
+
+def window_defect(spec, window, psi):
+    """||chi_window(H) psi - psi||, the calculus applied to the window's mask."""
+    calc = calculus(spec)
+    proj = calc.apply(window.contains(calc.spectrum).astype(float), psi.values)
+    return np.linalg.norm(proj - psi.values)
 
 
 def normalized(grid, values):
@@ -89,6 +96,64 @@ def test_scan_monotone_and_grouped(free256):
     assert 0.0 <= scan.collapse_spread < 1.0
 
 
+def _per_cell_oracle(spec, radius, threshold):
+    """The oracle cell by cell: columns of this window alone, ball rows."""
+    calc = calculus(spec)
+    mask = Interval(-math.inf, threshold).contains(calc.spectrum)
+    if not mask.any():
+        return 0.0
+    inside = np.flatnonzero(ball_weights(spec.grid, radius))
+    return float(np.linalg.svd(calc.columns(mask)[inside], compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("spec, radii, thresholds", [
+    # a threshold below the spectrum next to nonempty ones; radius 0 is a
+    # ball of one point
+    (HamiltonianSpec.free(make_grid(1, 16.0, 256)),
+     [0.0, 0.5, 1.0, 2.0], [-1.0, 0.5, 1.0, 2.0]),
+    (HamiltonianSpec.fractional(make_grid(1, 16.0, 256), 1.0),
+     [0.0, 0.5, 1.0], [-1.0, 0.5, 1.5]),
+    (HamiltonianSpec.free(make_grid(2, 6.0, 16)),
+     [0.0, 1.0, 2.0], [-1.0, 1.0, 4.0]),
+    (HamiltonianSpec.with_potential(make_grid(1, 16.0, 256),
+                                    gaussian_potential(-1.0)),
+     [0.0, 1.0, 2.0], [-5.0, -0.2, 0.5, 1.0]),
+    # every window empty
+    (HamiltonianSpec.free(make_grid(1, 16.0, 256)), [0.5, 1.0], [-2.0, -1.0]),
+], ids=["free", "fractional-s1", "free-2d", "well", "all-empty"])
+@pytest.mark.filterwarnings("error")
+def test_oracle_cells_equal_the_per_cell_route_bit_for_bit(spec, radii,
+                                                          thresholds):
+    assert np.count_nonzero(ball_weights(spec.grid, 0.0)) == 1
+    want = np.array([[_per_cell_oracle(spec, r, d) for d in thresholds]
+                     for r in radii])
+    assert np.array_equal(_window_norms(spec, radii, thresholds), want)
+    for i, r in enumerate(radii):
+        for j, d in enumerate(thresholds):
+            assert uncertainty_norm_dense(spec, r, d) == want[i, j]
+    # the scan's statistics need positive thresholds
+    first = next((j for j, d in enumerate(thresholds) if d > 0), None)
+    if first is not None:
+        scan = uncertainty_scan(spec, radii, thresholds[first:])
+        assert np.array_equal(scan.norms, want[:, first:])
+
+
+@pytest.mark.parametrize("kind", ["fourier", "dense"])
+def test_one_synthesis_per_oracle_call(kind, monkeypatch):
+    g = make_grid(1, 16.0, 256)
+    spec = (HamiltonianSpec.free(g) if kind == "fourier" else
+            HamiltonianSpec.with_potential(g, gaussian_potential(1.0)))
+    cls = FourierCalculus if kind == "fourier" else EigenDecomposition
+    calls = []
+    columns = cls.columns
+    monkeypatch.setattr(cls, "columns",
+                        lambda self, mask: calls.append(1) or columns(self, mask))
+    uncertainty_scan(spec, [0.5, 1.0, 1.5, 2.0], [0.5, 1.0, 1.5, 2.0])
+    assert len(calls) == 1
+    uncertainty_norm_dense(spec, 1.0, 1.0)
+    assert len(calls) == 2
+
+
 def test_scan_methods():
     # the scan's SVD oracle needs the dense eigenbasis of a potential
     pot = HamiltonianSpec(make_grid(1, 64.0, 8192), "potential",
@@ -103,8 +168,7 @@ def test_band_state_unit_and_exact(free256):
     psi = frequency_band_state(free256, 1.0, 2.0, 0.3)
     nrm = math.sqrt(free256.grid.cell_volume * np.vdot(psi.values, psi.values).real)
     assert nrm == pytest.approx(1.0, abs=1e-12)
-    proj = project_energy(free256, Interval(0.9, 4.1), psi)
-    assert np.linalg.norm(proj.values - psi.values) < 1e-12
+    assert window_defect(free256, Interval(0.9, 4.1), psi) < 1e-12
 
 
 def test_band_state_rejects_wide_ramp(free256):
@@ -126,8 +190,7 @@ def test_window_state_dense_exact():
     psi = window_localized_state(spec, window, 1.1, 1.6, 0.2, energy_ramp=0.4)
     nrm = math.sqrt(g.cell_volume * np.vdot(psi.values, psi.values).real)
     assert nrm == pytest.approx(1.0, abs=1e-12)
-    proj = project_energy(spec, window, psi)
-    assert np.linalg.norm(proj.values - psi.values) < 1e-12
+    assert window_defect(spec, window, psi) < 1e-12
     with pytest.raises(ValueError, match="energy_ramp"):
         window_localized_state(spec, Interval(1.0, 1.7),
                                1.1, 1.6, 0.2, energy_ramp=0.4)

@@ -55,6 +55,24 @@ def test_free_gaussian_reference_matches_independent_formula(grid):
                                atol=1e-15)
 
 
+@pytest.mark.parametrize("convention", ["full", "half"])
+def test_free_gaussian_reference_reads_the_kinetic_prefactor(grid, convention):
+    # the closed form's kappa is the free H's, under either convention
+    kappa = HamiltonianSpec.free(grid, convention).kinetic_prefactor
+    w, t = 1.2, 0.8
+    from obslab.grid import axis_coordinates
+    x = axis_coordinates(grid)
+    a = w**2 + 2j * kappa * t
+    np.testing.assert_allclose(
+        free_gaussian_reference(grid, w, t, convention).values,
+        w / np.sqrt(a) * np.exp(-x**2 / (2 * a)), atol=1e-14)
+
+
+def test_free_gaussian_reference_rejects_an_unknown_convention(grid):
+    with pytest.raises(ValueError, match="convention"):
+        free_gaussian_reference(grid, 1.0, 0.5, convention="Full")
+
+
 @pytest.mark.parametrize("t", [0.5, 2.0])
 def test_multiplier_engine_reproduces_closed_form(t):
     # box large enough that the dispersive tail stays below the tolerance

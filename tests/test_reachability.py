@@ -1,5 +1,6 @@
 """Every public function, class, method and property of the library has a
-consumer, and every import a use.
+consumer, every private module-level definition a reference, and every
+import a use.
 
 A public top-level name counts as reached when some other part of
 src/obslab refers to it (as a name, an attribute or an import), or when
@@ -107,6 +108,32 @@ def test_every_public_definition_is_reached():
                     unreached.append(member.name)
     # an allowlisted name that gains a consumer, or goes, leaves the list
     assert sorted(unreached) == sorted(ALLOWED)
+
+
+def _private_names(stmt):
+    """The private (single-underscore) names a top-level statement defines:
+    a function, a class, or the targets of a constant's assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_definition_is_referred_to():
+    # the public check skips private names; a helper that loses its last
+    # caller is an orphan here
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "obslab").glob("*.py"))]
+    statements = [(stmt, _names(stmt)) for tree in trees for stmt in tree.body]
+    orphans = [name for stmt, _ in statements for name in _private_names(stmt)
+               if not any(name in refs for other, refs in statements
+                          if other is not stmt)]
+    assert orphans == []
 
 
 def _imports(tree):

@@ -1,4 +1,6 @@
-"""Smooth cutoffs, spectral windows, projector calculus."""
+"""Smooth cutoffs, spectral windows, the functional calculus."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from obslab.hamiltonian import (HamiltonianSpec, PotentialSpec, dense_matrix,
 from obslab.spectral import (EigenDecomposition, FourierCalculus, Interval,
                              calculus, decompose_dilation,
                              decompose_hamiltonian, dense_calculus,
-                             project_energy, smooth_step)
+                             smooth_step)
 
 
 def test_smooth_step_profile():
@@ -43,34 +45,35 @@ def test_closed_window_includes_both_ends(dim, points):
     assert not w.contains(np.nextafter(1.0, 0.0))
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
-    # eigenvectors at both end eigenvalues pass the projector unchanged, the
-    # next one past either end is removed, for both calculi
+    # eigenvectors at both end eigenvalues pass the window's projector
+    # unchanged, the next one past either end is removed, for both calculi
     g = make_grid(dim, 4.0, points)
     for spec in (HamiltonianSpec.free(g),
                  HamiltonianSpec.with_potential(g, gaussian_potential(1.0))):
         calc = calculus(spec)
         levels = np.unique(calc.spectrum)
-        project = calc.projector(Interval(levels[2], levels[5]))
+        mask = Interval(levels[2], levels[5]).contains(calc.spectrum).astype(float)
         for level, kept in ((levels[2], True), (levels[5], True),
                             (levels[1], False), (levels[6], False)):
             for col in calc.columns(calc.spectrum == level).T:
-                got = project(col.reshape(g.shape)).ravel()
+                got = calc.apply(mask, col.reshape(g.shape)).ravel()
                 np.testing.assert_allclose(got, col if kept else 0.0,
                                            atol=1e-10)
 
 
 def test_projector_is_idempotent_and_hermitian():
+    # chi_w(H) is the calculus applied to the window's 0/1 mask
     g = make_grid(1, 8.0, 256)
-    spec = HamiltonianSpec.free(g)
+    calc = calculus(HamiltonianSpec.free(g))
     rng = np.random.default_rng(2)
-    f = Field(g, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    h = Field(g, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    w = Interval(0.5, 4.0)
-    pf = project_energy(spec, w, f)
-    ppf = project_energy(spec, w, pf)
-    np.testing.assert_allclose(ppf.values, pf.values, atol=1e-13)
-    lhs = np.vdot(pf.values, h.values)
-    rhs = np.vdot(f.values, project_energy(spec, w, h).values)
+    f = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    h = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    mask = Interval(0.5, 4.0).contains(calc.spectrum).astype(float)
+    pf = calc.apply(mask, f)
+    ppf = calc.apply(mask, pf)
+    np.testing.assert_allclose(ppf, pf, atol=1e-13)
+    lhs = np.vdot(pf, h)
+    rhs = np.vdot(f, calc.apply(mask, h))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -101,22 +104,10 @@ def test_eigendecomposition_residual_and_indices():
     assert ((eig.eigenvalues[idx] >= 0) & (eig.eigenvalues[idx] <= 1)).all()
 
 
-def test_eigen_projector_subset_form_matches_mask():
-    # V_I V_I^H skips the columns outside I; it must equal the weighted apply
-    g = make_grid(1, 8.0, 128)
-    eig = calculus(HamiltonianSpec.with_potential(g, gaussian_potential(1.0)))
-    w = Interval(0.5, 4.0)
-    rng = np.random.default_rng(6)
-    f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    mask = w.contains(eig.spectrum).astype(float)
-    np.testing.assert_allclose(eig.projector(w)(f), eig.apply(mask, f),
-                               atol=1e-12)
-
-
 @pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
 def test_columns_span_the_window_projector(dim, points):
-    # V_I V_I^H from columns(mask) is the projector chi_I(H), for the
-    # Fourier and the dense calculus alike
+    # V_I V_I^H from columns(mask) is the projector chi_I(H), the calculus
+    # applied to the mask, for the Fourier and the dense calculus alike
     g = make_grid(dim, 4.0, points)
     w = Interval(0.5, 6.0)
     for spec in (HamiltonianSpec.free(g),
@@ -129,8 +120,7 @@ def test_columns_span_the_window_projector(dim, points):
         np.testing.assert_allclose(cols.conj().T @ cols, np.eye(k), atol=1e-12)
         np.testing.assert_allclose(dense_matrix(spec) @ cols,
                                    cols * calc.spectrum[mask], atol=1e-10)
-        project = calc.projector(w)
-        dense = np.stack([project(e).ravel() for e in np.eye(g.dofs)], axis=1)
+        dense = calc.apply(mask.astype(float), np.eye(g.dofs)).reshape(g.dofs, g.dofs).T
         np.testing.assert_allclose(cols @ cols.conj().T, dense, atol=1e-12)
 
 
@@ -168,10 +158,10 @@ def test_real_basis_calculus_matches_complex_matmul():
     f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     np.testing.assert_allclose(eig.forward(f), v.conj().T @ f, rtol=0, atol=1e-13)
     np.testing.assert_allclose(eig.backward(f), v @ f, rtol=0, atol=1e-13)
-    w = Interval(0.5, 4.0)
-    vi = v[:, w.contains(eig.eigenvalues)]
-    np.testing.assert_allclose(eig.projector(w)(f), vi @ (vi.conj().T @ f),
-                               rtol=0, atol=1e-13)
+    mask = Interval(0.5, 4.0).contains(eig.eigenvalues)
+    vi = v[:, mask]
+    np.testing.assert_allclose(eig.apply(mask.astype(float), f),
+                               vi @ (vi.conj().T @ f), rtol=0, atol=1e-13)
 
 
 def test_hamiltonian_basis_is_real_for_every_kind():
@@ -191,7 +181,7 @@ def test_real_basis_products_make_no_square_temporary():
     f = np.random.default_rng(14).standard_normal(512) + 1j
     stack = np.random.default_rng(14).standard_normal((4, 512)) + 1j
     for apply, x in ((eig.forward, f), (eig.backward, f),
-                     (eig.projector(Interval()), f),
+                     (functools.partial(eig.apply, np.ones(512)), f),
                      (eig.forward, stack), (eig.backward, stack)):
         tracemalloc.start()
         try:
