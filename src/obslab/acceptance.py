@@ -61,7 +61,8 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     g2 = make_grid(1, 16.0, 256)
     spec2 = HamiltonianSpec.with_potential(g2, gaussian_potential(1.0))
-    u2 = cli._packet_field(g2, {"width": 1.0 / math.sqrt(2.0), "speed": 1.0})
+    u2 = cli._packet_field(g2, {"width": 1.0 / math.sqrt(2.0), "speed": 1.0,
+                                "center": 0.0})
     a = evolve(PropagatorPlan(spec2, "splitstep", dt=1e-3), u2, 1.0)
     b = evolve(PropagatorPlan(spec2, "dense"), u2, 1.0)
     cross = l2_norm(Field(g2, a.values - b.values))
@@ -115,8 +116,8 @@ _RUNNER_CRITERIA = tuple(Criterion(*c) for c in (
     (4, "evolved states vacate the cone below the certified minimal velocity", (
         ("minimal-velocity", {}),
         ("minimal-velocity", {"grid": _grid(640.0, 2048), "hamiltonian": _WELL, "engine": "dense",
-                              "parameters": {"state": "window", "band": [1.30, 1.60],
-                                             "band_ramp": 0.14, "energy_ramp": 0.44}}))),
+                              "parameters": {"band": [1.30, 1.60], "band_ramp": 0.14,
+                                             "energy_ramp": 0.44}}))),
     (5, "outgoing-filtered interior propagator decays uniformly over thresholds",
      (("enss", {}),)),
     (6, "exterior two-time observability constants are finite and nonincreasing in the gap", (

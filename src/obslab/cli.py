@@ -70,7 +70,7 @@ _HAMILTONIAN_SCHEMA = {
                 "form": {"enum": ["gaussian"]},
                 "amplitude": {"type": "number"},
             },
-            "required": ["form"],
+            "required": ["form", "amplitude"],
             "additionalProperties": False,
         },
         "convention": {"enum": ["full", "half"]},
@@ -122,7 +122,6 @@ _PARAM_SCHEMAS = {
     "minimal-velocity": {
         "type": "object",
         "properties": {
-            "state": {"enum": ["band", "window"]},
             "band": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
             "band_ramp": {"type": "number", "exclusiveMinimum": 0},
             "energy_window": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
@@ -130,7 +129,7 @@ _PARAM_SCHEMAS = {
             "velocity_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             "times": _TIMES_SCHEMA,
         },
-        "required": ["state", "band", "band_ramp", "energy_window",
+        "required": ["band", "band_ramp", "energy_window", "energy_ramp",
                      "velocity_fraction", "times"],
         "additionalProperties": False,
     },
@@ -258,10 +257,10 @@ _CANNED = {
     "minimal-velocity": {
         "grid": {"dim": 1, "half_extent": 320.0, "points_per_axis": 4096},
         "parameters": {
-            "state": "band",
             "band": [1.12, 1.70],
             "band_ramp": 0.28,
             "energy_window": [1.25, 3.0],
+            "energy_ramp": 0.44,
             "velocity_fraction": 0.5,
             "times": {"start": 5.0, "stop": 50.0, "count": 10},
         },
@@ -372,20 +371,16 @@ def _validate(instance, experiment: str) -> None:
         raise error
 
 
-# Hamiltonian keys that only one kind reads
+# Hamiltonian keys that exactly one kind reads, and requires
 _KIND_KEYS = {"s": "fractional", "potential": "potential"}
 
 
 def _check_hamiltonian_keys(h: dict) -> None:
-    """Reject a key that the chosen kind never reads, and a potential kind
-    without its potential."""
+    """Each kind key is required with its kind and rejected with any other."""
     for key, kind in _KIND_KEYS.items():
-        if key in h and h["kind"] != kind:
-            raise ValueError(f"hamiltonian key {key!r} applies to kind "
-                             f"{kind!r} only, not {h['kind']!r}")
-    if h["kind"] == "potential" and "potential" not in h:
-        raise ValueError("hamiltonian kind 'potential' needs the key "
-                         "'potential'")
+        if (key in h) != (h["kind"] == kind):
+            raise ValueError(f"hamiltonian key {key!r} goes with kind "
+                             f"{kind!r} and only with it; kind is {h['kind']!r}")
 
 
 def _check_commutator_grid(cfg: dict) -> None:
@@ -403,8 +398,8 @@ def _check_commutator_grid(cfg: dict) -> None:
 
 def resolve_config(experiment: str, overlay: dict) -> dict:
     """Canned defaults overlaid with `overlay`.  A key the experiment never
-    reads, a schema error, a Hamiltonian key the chosen kind never reads, or
-    an energy_ramp that does not match the minimal-velocity state raises."""
+    reads, a schema error, or a Hamiltonian kind key that does not match the
+    kind raises."""
     # the round trip deep-copies, so the result shares nothing with
     # DEFAULTS or the overlay
     merged = json.loads(json.dumps(_deep_merge(DEFAULTS[experiment], overlay)))
@@ -415,11 +410,6 @@ def resolve_config(experiment: str, overlay: dict) -> dict:
             f"subcommand is {experiment!r}")
     if "hamiltonian" in merged:
         _check_hamiltonian_keys(merged["hamiltonian"])
-    if experiment == "minimal-velocity":
-        p = merged["parameters"]
-        if (p["state"] == "window") != ("energy_ramp" in p):
-            raise ValueError("parameters key 'energy_ramp' goes with state "
-                             f"'window' and only with it; state is {p['state']!r}")
     if experiment == "commutator":
         _check_commutator_grid(merged)
     return merged
@@ -519,12 +509,12 @@ def _hamiltonian_from(cfg):
     grid = make_grid(g["dim"], g["half_extent"], g["points_per_axis"])
     h = cfg["hamiltonian"]
     kind = h["kind"]
-    conv = h.get("convention", "full")
+    conv = h["convention"]
     if kind == "free":
         return HamiltonianSpec.free(grid, convention=conv)
     if kind == "fractional":
-        return HamiltonianSpec.fractional(grid, h.get("s", 2.0), convention=conv)
-    pot = gaussian_potential(h["potential"].get("amplitude", 1.0))
+        return HamiltonianSpec.fractional(grid, h["s"], convention=conv)
+    pot = gaussian_potential(h["potential"]["amplitude"])
     return HamiltonianSpec.with_potential(grid, pot, convention=conv)
 
 
@@ -540,8 +530,8 @@ def _packet_field(grid, packet):
     from .grid import Field, l2_norm, axis_coordinates, _meshed, radius_squared
 
     w = packet["width"]
-    speed = packet.get("speed", 0.0)
-    center = packet.get("center", 0.0)
+    speed = packet["speed"]
+    center = packet["center"]
     x1 = _meshed(axis_coordinates(grid), grid.dim, 0)
     r2 = radius_squared(grid)
     shifted = r2 - 2.0 * center * x1 + center * center
@@ -625,21 +615,16 @@ def _fitted_values(series) -> list:
 
 
 def _run_minimal_velocity(cfg, spec, plan):
-    from .inequality import (frequency_band_state, group_velocity_floor,
-                             minimal_velocity_decay, window_localized_state)
+    from .inequality import (group_velocity_floor, minimal_velocity_decay,
+                             window_localized_state)
     from .spectral import Interval
 
     p = cfg["parameters"]
 
     window = tuple(p["energy_window"])
-    if p["state"] == "band":
-        psi = frequency_band_state(spec, p["band"][0], p["band"][1],
-                                   p["band_ramp"])
-    else:
-        psi = window_localized_state(spec, Interval(*window),
-                                     p["band"][0], p["band"][1],
-                                     p["band_ramp"],
-                                     energy_ramp=p["energy_ramp"])
+    psi = window_localized_state(spec, Interval(*window), p["band"][0],
+                                 p["band"][1], p["band_ramp"],
+                                 energy_ramp=p["energy_ramp"])
     v = p["velocity_fraction"] * group_velocity_floor(spec, window[0])
     series_data = minimal_velocity_decay(plan, psi, v, _times_from(p["times"]),
                                          energy_window=window)

@@ -107,9 +107,12 @@ def uncertainty_scan(spec: HamiltonianSpec, radii, thresholds) -> UncertaintySca
     monotonicity and the scaling collapse along the invariant R * delta^{1/p}.
 
     Non-multiplier kinds need the dense eigenbasis (at most DENSE_LIMIT dofs).
+    A negative threshold has no invariant R * delta^{1/p} and raises.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     thresholds = np.sort(np.asarray(thresholds, dtype=float))
+    if not np.all(thresholds >= 0):
+        raise ValueError("scan thresholds must be nonnegative")
     norms = _window_norms(spec, radii, thresholds)
 
     violations = 0

@@ -105,7 +105,9 @@ def test_experiment_name_must_match(tmp_path):
 
 class _Recording(dict):
     """A config that notes the path of every leaf read from it, at any depth:
-    a nested object comes back wrapped, so the leaves under it are noted."""
+    a nested object comes back wrapped, so the leaves under it are noted.
+    A .get read fails the test: its default would stand in for a value the
+    resolved config always holds."""
 
     def __init__(self, cfg, seen, path=()):
         super().__init__(cfg)
@@ -122,7 +124,8 @@ class _Recording(dict):
         return self._read(key, super().__getitem__(key))
 
     def get(self, key, default=None):
-        return self[key] if key in self else default
+        pytest.fail(f"config key {'.'.join(self.path + (key,))} read with "
+                    ".get; a run reads its resolved config with []")
 
 
 def _leaf_paths(cfg, path=()):
@@ -203,21 +206,25 @@ def test_commutator_grid_is_a_grid_spec(tmp_path, capsys):
 
 
 def test_hamiltonian_keys_the_run_would_ignore_are_rejected(tmp_path, capsys):
-    # each key is one the chosen kind never reads, one no kind reads, or a
-    # potential kind's missing potential
+    # each key is one the chosen kind never reads, one no kind reads, or one
+    # the chosen kind reads and the config lacks
     planted = [
-        ({"kind": "free", "s": 3.0}, "applies to kind 'fractional'"),
+        ({"kind": "free", "s": 3.0}, "'s' goes with kind 'fractional'"),
         ({"kind": "fractional", "s": 1.0, "c": 0.1}, "'c' was unexpected"),
         ({"kind": "free", "c": -0.1}, "'c' was unexpected"),
-        ({"kind": "free", "potential": {"form": "gaussian"}},
-         "applies to kind 'potential'"),
-        ({"kind": "potential", "potential": {"form": "zero"}},
+        ({"kind": "free", "potential": {"form": "gaussian", "amplitude": 1.0}},
+         "'potential' goes with kind 'potential'"),
+        ({"kind": "potential", "potential": {"form": "zero", "amplitude": 1.0}},
          "'zero' is not one of"),
         ({"kind": "potential", "potential": {"form": "ball", "amplitude": 1.0}},
          "'ball' is not one of"),
-        ({"kind": "potential", "potential": {"form": "gaussian", "radius": 1.0}},
+        ({"kind": "potential", "potential": {"form": "gaussian", "amplitude": 1.0,
+                                                "radius": 1.0}},
          "'radius' was unexpected"),
-        ({"kind": "potential"}, "needs the key 'potential'"),
+        ({"kind": "potential"}, "'potential' goes with kind 'potential'"),
+        ({"kind": "fractional"}, "'s' goes with kind 'fractional'"),
+        ({"kind": "potential", "potential": {"form": "gaussian"}},
+         "'amplitude' is a required property"),
     ]
     for i, (hamiltonian, message) in enumerate(planted):
         path = write_config(tmp_path / f"cfg{i}.json", {
@@ -235,22 +242,27 @@ def test_hamiltonian_keys_the_run_would_ignore_are_rejected(tmp_path, capsys):
         assert cfg["hamiltonian"] == {"convention": "full", **hamiltonian}
 
 
-def test_energy_ramp_follows_the_minimal_velocity_state(tmp_path, capsys):
-    # only a window state reads energy_ramp: a band state rejects it, and a
-    # window state needs it
-    planted = [
-        ({"state": "band", "energy_ramp": 0.44}, "state is 'band'"),
-        ({"state": "window"}, "state is 'window'"),
-    ]
-    for i, (parameters, message) in enumerate(planted):
-        path = write_config(tmp_path / f"cfg{i}.json", {"parameters": parameters})
+def test_minimal_velocity_takes_no_state_key(tmp_path, capsys):
+    # the run decides from the window defect whether to filter its state
+    for i, state in enumerate(("band", "window")):
+        path = write_config(tmp_path / f"cfg{i}.json",
+                            {"parameters": {"state": state}})
         out = tmp_path / f"out{i}"
         assert cli.run("minimal-velocity", path, str(out)) == 1
         assert not out.exists()
-        assert message in capsys.readouterr().err
-    cfg = cli.resolve_config("minimal-velocity", {"parameters": {
-        "state": "window", "energy_ramp": 0.44}})
-    assert cfg["parameters"]["energy_ramp"] == 0.44
+        assert "'state' was unexpected" in capsys.readouterr().err
+
+
+def test_minimal_velocity_filters_a_band_that_leaves_the_window(tmp_path):
+    # kappa 1.80^2 = 3.24 lies above the window top 3.0: the band state is
+    # not localized, so the run filters it into the window and reports
+    path = write_config(tmp_path / "cfg.json",
+                        {"parameters": {"band": [1.12, 1.80]}})
+    out = tmp_path / "out"
+    assert cli.run("minimal-velocity", path, str(out)) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert [v["name"] for v in report["verdicts"] if not v["pass"]] == [
+        "wrap_monitor"]
 
 
 def test_benchmark_overlays_resolve():
@@ -592,7 +604,6 @@ def test_runner_failure_writes_nothing(tmp_path, capsys):
         "experiment": "minimal-velocity",
         "grid": {"dim": 1, "half_extent": 16.0, "points_per_axis": 256},
         "parameters": {
-            "state": "band",
             "band": [1.0, 1.2],        # ramp cannot fit: the builder raises
             "band_ramp": 0.3,
             "energy_window": [1.0, 1.44],

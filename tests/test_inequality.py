@@ -131,7 +131,7 @@ def test_oracle_cells_equal_the_per_cell_route_bit_for_bit(spec, radii,
     for i, r in enumerate(radii):
         for j, d in enumerate(thresholds):
             assert uncertainty_norm_dense(spec, r, d) == want[i, j]
-    # the scan's statistics need positive thresholds
+    # the scan rejects negative thresholds
     first = next((j for j, d in enumerate(thresholds) if d > 0), None)
     if first is not None:
         scan = uncertainty_scan(spec, radii, thresholds[first:])
@@ -152,6 +152,13 @@ def test_one_synthesis_per_oracle_call(kind, monkeypatch):
     assert len(calls) == 1
     uncertainty_norm_dense(spec, 1.0, 1.0)
     assert len(calls) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_rejects_a_negative_threshold():
+    spec = HamiltonianSpec.free(make_grid(1, 16.0, 256))
+    with pytest.raises(ValueError, match="nonnegative"):
+        uncertainty_scan(spec, [0.5, 1.0], [-1.0, 1.0])
 
 
 def test_scan_methods():
