@@ -1147,7 +1147,7 @@ def main(argv=None) -> int:
         for var in THREAD_VARS:
             os.environ[var] = str(args.threads)
 
-    out_dir = os.environ.get("OBSLAB_OUT", args.out)
+    out_dir = os.environ.get("OBSLAB_OUT") or args.out     # blank reads as unset
     return run(args.experiment, args.config, out_dir,
                engine=vars(args).get("engine"), seed=args.seed,
                threads=args.threads)

@@ -15,9 +15,10 @@ dilation generator A; the full convention doubles group velocities.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -32,9 +33,15 @@ DENSE_LIMIT = 4096
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Real potential sampled from a callable V(x1, ..., xn)."""
+    """Real potential sampled from a callable V(x1, ..., xn).
 
-    fn: Callable
+    Specs compare and hash by key, not by fn, so two builds of one potential
+    share every cache keyed by their HamiltonianSpec.  The default key is a
+    fresh object: a spec built without one equals only itself.
+    """
+
+    fn: Callable = dataclasses.field(compare=False)
+    key: Hashable = dataclasses.field(default_factory=object)
 
 
 def gaussian_potential(amplitude: float) -> PotentialSpec:
@@ -44,7 +51,7 @@ def gaussian_potential(amplitude: float) -> PotentialSpec:
         r2 = sum(a**2 for a in axes)
         return amplitude * np.exp(-r2)
 
-    return PotentialSpec(fn)
+    return PotentialSpec(fn, ("gaussian", float(amplitude)))
 
 
 @dataclass(frozen=True)

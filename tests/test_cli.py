@@ -824,6 +824,50 @@ def test_main_env_output_override(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_main_blank_env_output_reads_as_unset(tmp_path, monkeypatch):
+    # a set but blank OBSLAB_OUT must not make the working directory the
+    # output directory
+    path = write_config(tmp_path / "cfg.json", SMALL_UNCERTAINTY)
+    work = tmp_path / "cwd"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("OBSLAB_OUT", "")
+    out = tmp_path / "from_flag"
+    assert cli.main(["uncertainty", "--config", path, "--out", str(out)]) == 0
+    assert (out / "report.json").is_file()
+    assert list(work.iterdir()) == []
+
+
+def test_potential_configs_key_the_hamiltonian_caches_by_value():
+    # two builds of one potential config are one spec, so a repeat run hits
+    # every cache keyed by it; another amplitude is another spec
+    from obslab import hamiltonian, propagate
+
+    def build(amplitude):
+        return cli._hamiltonian_from({
+            "grid": {"dim": 1, "half_extent": 8.0, "points_per_axis": 64},
+            "hamiltonian": {"kind": "potential", "convention": "full",
+                            "potential": {"form": "gaussian",
+                                          "amplitude": amplitude}}})
+
+    hamiltonian.potential_on_grid.cache_clear()
+    propagate._strang_phases.cache_clear()
+    first, second = build(0.25), build(0.25)
+    assert first == second and hash(first) == hash(second)
+    f = Field(first.grid, np.exp(-np.linspace(-8.0, 8.0, 64) ** 2) + 0j)
+    runs = [propagate.evolve(propagate.PropagatorPlan(spec, "splitstep",
+                                                      dt=1e-2), f, 0.05)
+            for spec in (first, second)]
+    assert np.array_equal(runs[0].values, runs[1].values)
+    assert hamiltonian.potential_on_grid.cache_info().currsize == 1
+    assert propagate._strang_phases.cache_info().currsize == 1
+    other = build(0.5)
+    assert other != first
+    assert not np.array_equal(hamiltonian.potential_on_grid(other),
+                              hamiltonian.potential_on_grid(first))
+    assert hamiltonian.potential_on_grid.cache_info().currsize == 2
+
+
 def test_main_seed_override_lands_in_report(tmp_path):
     path = write_config(tmp_path / "cfg.json", SMALL_UNCERTAINTY)
     out = tmp_path / "seeded"

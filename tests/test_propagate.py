@@ -1,13 +1,19 @@
 """Evolution engines: exactness, cross-agreement, unitarity, time stepping."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from obslab import propagate
 from obslab.grid import Field, field_from_function, l2_norm, make_grid
-from obslab.hamiltonian import HamiltonianSpec, gaussian_potential
+from obslab.hamiltonian import (HamiltonianSpec, gaussian_potential,
+                                kinetic_symbol, potential_on_grid)
 from obslab.propagate import (ENGINES, PropagatorPlan, engine_cross_check,
                               evolve, evolve_backward, evolve_series,
                               evolve_stack, free_gaussian_reference)
@@ -281,3 +287,103 @@ def test_evolve_stack_takes_mixed_sign_times(grid, packet, engine, kind):
                                        atol=1e-13 * np.abs(want).max())
         else:
             assert np.array_equal(row, want)
+
+
+def _plain_strang_step(spec, v, dt):
+    """The Strang step with full-length fftn: the reference of the
+    four-step layout."""
+    kin = np.exp(-1j * dt * kinetic_symbol(spec))
+    pot = np.exp(-0.5j * dt * potential_on_grid(spec))
+    return pot * np.fft.ifftn(kin * np.fft.fftn(pot * v))
+
+
+def _random_field(grid, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+
+
+@pytest.mark.parametrize("dim,points", [(1, 8), (1, 1024), (1, 131072),
+                                        (2, 8), (2, 32)])
+def test_four_step_strang_step_matches_plain_fftn(dim, points):
+    # per axis 8 -> (2, 4), 32 -> (4, 8), 1024 -> (32, 32),
+    # 131072 -> (256, 512); a Gaussian well
+    grid = make_grid(dim, 4.0, points)
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(-2.0))
+    v = _random_field(grid)
+    got = v.copy()
+    propagate._splitstep_march(got, spec, 0.01, 0.01)
+    want = _plain_strang_step(spec, v, 0.01)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("points", [8, 32])
+def test_two_dimensional_splitstep_in_a_gaussian_well_matches_dense(points):
+    # a march through many steps stays within O(dt^2) of the exact
+    # evolution in the dense eigenbasis, and keeps the norm
+    grid = make_grid(2, 4.0, points)
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(-2.0))
+    f = field_from_function(grid, lambda x, y: np.exp(-(x - 0.5)**2 - y**2))
+    f = Field(grid, f.values / l2_norm(f))
+    split = evolve(PropagatorPlan(spec, "splitstep", dt=1e-3), f, 0.3)
+    dense = evolve(PropagatorPlan(spec, "dense"), f, 0.3)
+    assert _rel(split, dense) <= 1e-5
+    assert abs(l2_norm(split) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,points", [(1, 256), (2, 32)])
+def test_splitstep_on_a_free_hamiltonian_is_the_multiplier_engine(dim, points):
+    # with V = 0 every Strang step is the exact kinetic phase, so a march
+    # differs from the multiplier engine only by rounding
+    grid = make_grid(dim, 8.0, points)
+    spec = HamiltonianSpec.free(grid)
+    f = Field(grid, _random_field(grid))
+    split = evolve(PropagatorPlan(spec, "splitstep", dt=1e-2), f, 0.5)
+    exact = evolve(PropagatorPlan(spec), f, 0.5)
+    assert _rel(split, exact) <= 1e-12
+
+
+_FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from obslab.grid import field_from_function, make_grid
+    from obslab.hamiltonian import HamiltonianSpec, gaussian_potential
+    from obslab.propagate import PropagatorPlan, evolve
+
+    grid = make_grid(1, 2048.0, 131072)
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(0.25))
+    plan = PropagatorPlan(spec, "splitstep", dt=1e-2)
+    f = field_from_function(grid, lambda x: np.exp(-x**2))
+    evolve(plan, f, 0.5)                    # warms every cache
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evolve(plan, f, 0.5)                    # 50 Strang steps
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+def test_warm_splitstep_march_does_not_refault_fft_scratch():
+    # a full-length 131072-point FFT allocates megabytes of scratch that the
+    # allocator may hand back to the kernel on free, so every step faults it
+    # in again (about 2000 pages a step); the four-step transforms do not
+    resource = pytest.importorskip("resource")
+    if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
+        pytest.skip("ru_minflt is not reported on this platform")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 5000
+
+
+def test_splitstep_takes_fields_in_any_memory_order():
+    # the march reshapes each row into its four-step view, which must be a
+    # view of the row it updates, whatever the layout of the input
+    grid = make_grid(2, 4.0, 32)
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(-2.0))
+    plan = PropagatorPlan(spec, "splitstep", dt=1e-2)
+    v = _random_field(grid)
+    fortran = Field(grid, np.asfortranarray(v))
+    want = evolve(plan, Field(grid, v), 0.2).values
+    assert np.array_equal(evolve(plan, fortran, 0.2).values, want)
+    assert np.array_equal(evolve_series(plan, fortran, [0.2])[0].values, want)
