@@ -753,24 +753,28 @@ def _run_observability(cfg, spec, plan):
     return results, verdicts, series, []
 
 
-def _run_sharpness(cfg, spec, plan):
+def _sharpness_datum(grid, prof):
+    """The unit-norm profile x1 exp(-tightness r^2), cut off smoothly at
+    support_radius; a helper, so its grid-sized temporaries are gone before
+    the ladder is built."""
     import numpy as np
 
     from .grid import Field, l2_norm, axis_coordinates, _meshed, radius_squared
-    from .inequality import sharpness_sequence
     from .spectral import smooth_step
-
-    grid = spec.grid
-    p = cfg["parameters"]
-    prof = p["profile"]
 
     x1 = _meshed(axis_coordinates(grid), grid.dim, 0)
     r = np.sqrt(radius_squared(grid))
     vals = x1 * np.exp(-prof["tightness"] * r * r) \
         * smooth_step((prof["support_radius"] - r) / prof["support_ramp"])
     f = Field(grid, vals.astype(complex))
-    f = Field(grid, f.values / l2_norm(f))
+    return Field(grid, f.values / l2_norm(f))
 
+
+def _run_sharpness(cfg, spec, plan):
+    from .inequality import sharpness_sequence
+
+    p = cfg["parameters"]
+    f = _sharpness_datum(spec.grid, p["profile"])
     table = sharpness_sequence(plan, f, p["ks"], p["r1"], p["sigma"], p["t"])
     verdicts = [
         _verdict("columns_decreasing", table.both_decreasing, True, "==",
@@ -1067,6 +1071,7 @@ def run(experiment: str, config_path: str | None, out_dir: str,
     import numpy as np
 
     from . import __version__
+    from .propagate import _LANES
 
     report = {
         "experiment": experiment,
@@ -1081,6 +1086,7 @@ def run(experiment: str, config_path: str | None, out_dir: str,
         "threads": threads,
         "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
         "cpu_count": os.cpu_count(),
+        "splitstep_lanes": _LANES,
         "numpy": np.__version__,
     }
     out = Path(out_dir)

@@ -26,7 +26,8 @@ from .grid import (Field, axis_coordinates, ball_weights, boundary_shell_mass,
                    concentrate, exterior_weights, freq_radius_squared, l2_norm,
                    mass_in_region, parity_blocks)
 from .hamiltonian import DENSE_LIMIT, HamiltonianSpec
-from .propagate import PropagatorPlan, evolve, evolve_series, engine_cross_check
+from .propagate import (PropagatorPlan, engine_cross_check, evolve_series,
+                        evolve_stack)
 from .spectral import Interval, calculus, decompose_dilation, smooth_step
 
 MASS_FIT_FLOOR = 1e-26    # interior masses at or below it are rounding dust
@@ -485,15 +486,17 @@ def sharpness_sequence(plan: PropagatorPlan, f: Field, ks, r1: float,
     and evolved interior mass inside sigma t, both of which should shrink."""
     g = f.grid
     ks = sorted(ks)
+    ladder = np.empty((len(ks),) + g.shape, dtype=complex)
     exterior = []
-    interior = []
-    wrap = 0.0
-    for k in ks:
+    for row, k in zip(ladder, ks):
         fk = concentrate(f, int(k))
+        row[...] = fk.values
         exterior.append(mass_in_region(fk, exterior_weights(g, r1)))
-        evolved = evolve(plan, fk, t)
-        interior.append(mass_in_region(evolved, ball_weights(g, sigma * t)))
-        wrap = max(wrap, boundary_shell_mass(evolved))
+    evolve_stack(plan, ladder, [t] * len(ks), out=ladder)   # in place
+    inside = ball_weights(g, sigma * t)
+    evolved = [Field(g, row) for row in ladder]
+    interior = [mass_in_region(u, inside) for u in evolved]
+    wrap = max(boundary_shell_mass(u) for u in evolved)
     exterior = np.asarray(exterior)
     interior = np.asarray(interior)
     dec = bool(np.all(np.diff(exterior) < 0) and np.all(np.diff(interior) < 0))

@@ -19,6 +19,15 @@ small: a full-length 131072-point transform allocates megabytes of it per
 call, which the allocator may return to the kernel on free and fault in
 again on the next step.
 
+Splitstep marches the rows of a stack at once, one lane per usable core
+(the cores the process may run on): rows go round-robin to the lanes, the
+first lane runs in the caller and the others on a thread pool made on first
+use.  numpy's FFTs and large ufuncs release the GIL, and every row runs the
+same step sequence at any lane count, so the results do not depend on it.
+The caller resolves every cached phase and twiddle and allocates one work
+buffer per lane before any lane starts, and waits for every lane before it
+returns or raises.
+
 Every engine realizes exactly the times it is asked for: splitstep marches
 each interval in whole dt steps and ends it with one fractional substep for
 the remainder.  A negative time t runs as conj(e^{itH} conj(v)) = e^{-itH} v,
@@ -27,6 +36,7 @@ valid because every symbol here is real and even and every potential is real.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -38,6 +48,11 @@ from .hamiltonian import (DENSE_LIMIT, HamiltonianSpec, kinetic_symbol,
 from .spectral import calculus, dense_calculus
 
 ENGINES = ("multiplier", "splitstep", "dense")
+
+try:                            # the splitstep lanes: one per usable core
+    _LANES = len(os.sched_getaffinity(0))
+except AttributeError:          # no affinity call on this platform
+    _LANES = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -76,9 +91,12 @@ def _four_step_twiddles(m: int, dim: int):
     is then measurably less accurate than numpy's one-pass FFT.
     """
     m2, m1 = _four_step_factors(m)
-    k2n1 = np.outer(np.arange(m2), np.arange(m1)).astype(np.longdouble)
-    angle = (-8 * np.arctan(np.longdouble(1)) / m) * k2n1      # -2 pi k2 n1 / m
-    tw = reduce(np.multiply.outer, [np.exp(1j * angle).astype(complex)] * dim)
+    step = -8 * np.arctan(np.longdouble(1)) / m                 # -2 pi / m
+    n1 = np.arange(m1)
+    axis = np.empty((m2, m1), dtype=complex)
+    for k2 in range(m2):        # row by row: no (m2, m1) long-double temporaries
+        axis[k2] = np.exp(1j * (step * (k2 * n1)))
+    tw = reduce(np.multiply.outer, [axis] * dim)
     twc = np.conj(tw)
     tw.flags.writeable = twc.flags.writeable = False
     return tw, twc
@@ -93,19 +111,21 @@ def _strang_phases(spec: HamiltonianSpec, dt: float):
     g = spec.grid
     m2, m1 = _four_step_factors(g.points_per_axis)
     swap = [ax ^ 1 for ax in range(2 * g.dim)]      # (k1, k2) -> (k2, k1)
-    kin = np.exp(-1j * dt * kinetic_symbol(spec)).reshape((m1, m2) * g.dim)
+    kin = -1j * dt * kinetic_symbol(spec)
+    kin = np.exp(kin, out=kin).reshape((m1, m2) * g.dim)
     kin = np.ascontiguousarray(kin.transpose(swap))
-    pot = np.exp(-0.5j * dt * potential_on_grid(spec)).reshape((m2, m1) * g.dim)
+    pot = -0.5j * dt * potential_on_grid(spec)
+    pot = np.exp(pot, out=pot).reshape((m2, m1) * g.dim)
     kin.flags.writeable = pot.flags.writeable = False
     return kin, pot
 
 
-def _strang_step(v: np.ndarray, work: np.ndarray, spec: HamiltonianSpec,
-                 dt: float) -> None:
-    """One Strang step on v in place; v and work are four-step views, and
+def _strang_step(v: np.ndarray, work: np.ndarray, phases, twiddles) -> None:
+    """One Strang step on v in place, with the (kin, pot) phases of its
+    substep and the four-step twiddles; v and work are four-step views, and
     the inverse transform mirrors the forward one."""
-    kin, pot = _strang_phases(spec, dt)
-    tw, twc = _four_step_twiddles(spec.grid.points_per_axis, spec.grid.dim)
+    kin, pot = phases
+    tw, twc = twiddles
     rows, cols = tuple(range(0, v.ndim, 2)), tuple(range(1, v.ndim, 2))
     np.multiply(pot, v, out=v)
     np.fft.fftn(v, axes=rows, out=work)
@@ -118,20 +138,55 @@ def _strang_step(v: np.ndarray, work: np.ndarray, spec: HamiltonianSpec,
     np.multiply(pot, v, out=v)
 
 
-def _splitstep_march(v: np.ndarray, spec: HamiltonianSpec, duration: float,
+@lru_cache(maxsize=None)
+def _lane_pool():
+    """The thread pool of the lanes after the first, made on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(_LANES - 1, thread_name_prefix="splitstep")
+
+
+def _splitstep_march(rows: np.ndarray, spec: HamiltonianSpec, durations,
                      dt: float) -> None:
-    """March the C-contiguous complex array v through duration in place."""
-    if duration < 0:
+    """March row k of the C-contiguous complex stack rows through
+    durations[k] in place, the rows round-robin on min(rows, _LANES) lanes."""
+    durations = [float(d) for d in durations]
+    if any(d < 0 for d in durations):
         raise ValueError("duration must be nonnegative")
-    nsteps = int(round(duration / dt))
-    remainder = duration - nsteps * dt
+    if rows.dtype != complex or not rows.flags.c_contiguous:
+        raise ValueError("splitstep marches a C-contiguous complex stack")
     g = spec.grid
-    view = v.reshape(_four_step_factors(g.points_per_axis) * g.dim)  # no copy
-    work = np.empty_like(view)
-    for _ in range(nsteps):
-        _strang_step(view, work, spec, dt)
-    if abs(remainder) > 1e-12 * max(dt, 1.0):
-        _strang_step(view, work, spec, remainder)
+    shape = _four_step_factors(g.points_per_axis) * g.dim
+    views = rows.reshape((len(durations),) + shape)         # no copy
+    twiddles = _four_step_twiddles(g.points_per_axis, g.dim)
+    full = _strang_phases(spec, dt)
+    schedule = []               # per row: whole steps, remainder phases or None
+    for d in durations:
+        nsteps = int(round(d / dt))
+        remainder = d - nsteps * dt
+        last = (_strang_phases(spec, remainder)
+                if abs(remainder) > 1e-12 * max(dt, 1.0) else None)
+        schedule.append((nsteps, last))
+    lanes = max(1, min(len(durations), _LANES))
+    # one buffer per lane, not one (lanes, ...) block: a grid-sized block
+    # fits the holes freed heap memory leaves, so repeat runs reuse them
+    work = [np.empty(shape, dtype=complex) for _ in range(lanes)]
+
+    def lane(j):
+        for k in range(j, len(durations), lanes):
+            nsteps, last = schedule[k]
+            for _ in range(nsteps):
+                _strang_step(views[k], work[j], full, twiddles)
+            if last is not None:
+                _strang_step(views[k], work[j], last, twiddles)
+
+    futures = [_lane_pool().submit(lane, j) for j in range(1, lanes)]
+    try:
+        lane(0)
+    finally:
+        for f in futures:       # every lane stops before this returns or raises
+            f.exception()
+    for f in futures:
+        f.result()
 
 
 def _calculus(plan: PropagatorPlan):
@@ -159,29 +214,50 @@ def evolve(plan: PropagatorPlan, field: Field, t: float) -> Field:
     return Field(field.grid, evolve_stack(plan, field.values[None], (t,))[0])
 
 
-def evolve_stack(plan: PropagatorPlan, values: np.ndarray, times) -> np.ndarray:
+def evolve_stack(plan: PropagatorPlan, values: np.ndarray, times,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """e^{-i t_k H} v_k for a stack of fields v_k, shaped (m, *grid.shape),
-    each at its own signed time t_k.
+    each at its own signed time t_k; returns out, or a new stack.
 
-    One stacked apply with per-row phases: one batched FFT, or one matrix
-    product on the dense engine; splitstep marches the rows one by one.
+    out, a C-contiguous complex stack of the same shape, may be values
+    itself.  Splitstep marches the rows of out (or of a copy of values) in
+    place, on its lanes.  Without out, the calculus engines make one stacked
+    apply with per-row phases: one batched FFT, or one matrix product on the
+    dense engine.  With out, they apply each row alone into it, the
+    arithmetic of one evolve, holding one row's temporaries at a time.
     """
     spec = plan.hamiltonian
     times = [float(t) for t in times]
     if values.shape != (len(times),) + spec.grid.shape:
         raise ValueError("need one field of the plan grid per time")
+    if out is not None and (out.shape != values.shape or out.dtype != complex
+                            or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous complex stack shaped "
+                         "like values")
     back = [k for k, t in enumerate(times) if t < 0]
-    if back:                # conjugate in, forward through |t|, conjugate out
-        values = np.stack([np.conj(v) if t < 0 else v
-                           for v, t in zip(values, times)])
-    if plan.engine == "splitstep":
-        out = values.astype(complex, order="C")  # each row marches in place
-        for row, t in zip(out, times):
-            _splitstep_march(row, spec, abs(t), plan.dt)
-    else:
+    # a row at t < 0 is conjugated in, evolved through |t|, conjugated out
+    if plan.engine != "splitstep" and out is None:
+        if back:
+            values = np.stack([np.conj(v) if t < 0 else v
+                               for v, t in zip(values, times)])
         phases = np.stack([_phases(plan, abs(t)) for t in times])
         out = _calculus(plan).apply(phases, values)
-    out[back] = np.conj(out[back])
+    else:
+        if out is None:
+            out = np.empty(values.shape, dtype=complex)
+        for row, v, t in zip(out, values, times):
+            if t < 0:
+                np.conjugate(v, out=row)
+            elif out is not values:
+                np.copyto(row, v)
+        if plan.engine == "splitstep":
+            _splitstep_march(out, spec, [abs(t) for t in times], plan.dt)
+        else:                   # apply, one row at a time
+            calc = _calculus(plan)
+            for row, t in zip(out, times):
+                row[...] = calc.apply(_phases(plan, abs(t))[None], row[None])[0]
+    for k in back:
+        np.conjugate(out[k], out=out[k])
     return out
 
 
@@ -192,12 +268,12 @@ def evolve_series(plan: PropagatorPlan, field: Field, times) -> list[Field]:
         raise ValueError("times must be ascending and nonnegative")
     out: list[Field] = []
     if plan.engine == "splitstep":
-        v = field.values.astype(complex, order="C")
+        v = field.values.astype(complex, order="C")[None]
         prev = 0.0
         for t in times:
-            _splitstep_march(v, plan.hamiltonian, t - prev, plan.dt)
+            _splitstep_march(v, plan.hamiltonian, [t - prev], plan.dt)
             prev = t
-            out.append(Field(field.grid, v.copy()))
+            out.append(Field(field.grid, v[0].copy()))
         return out
     calc = _calculus(plan)
     coeff = calc.forward(field.values)

@@ -15,7 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from obslab import __version__, acceptance, cli
+from obslab import __version__, acceptance, cli, propagate
 from obslab.grid import Field, make_grid
 
 
@@ -807,10 +807,33 @@ def test_run_facts_go_to_run_meta_not_the_report(tmp_path, monkeypatch):
     assert a["thread_env"] == dict.fromkeys(cli.THREAD_VARS)
     assert b["thread_env"] == dict.fromkeys(cli.THREAD_VARS, "2")
     assert a["cpu_count"] == b["cpu_count"] == os.cpu_count()
+    assert a["splitstep_lanes"] == b["splitstep_lanes"] == propagate._LANES
     assert a["numpy"] == b["numpy"] == np.__version__
     assert filecmp.cmp(tmp_path / "a" / "report.json",
                        tmp_path / "b" / "report.json", shallow=False)
     assert a["report_sha256"] == b["report_sha256"]
+
+
+def test_splitstep_report_is_the_same_at_one_and_two_lanes(tmp_path, monkeypatch):
+    # the three rungs of the ladder march round-robin on the lanes;
+    # run_meta.json records the lane count.  Three rungs miss the exterior
+    # gate (exit 2), which does not matter here
+    path = write_config(tmp_path / "cfg.json", {
+        "experiment": "sharpness",
+        "grid": {"dim": 1, "half_extent": 64.0, "points_per_axis": 8192},
+        "hamiltonian": {"kind": "potential",
+                        "potential": {"form": "gaussian", "amplitude": 0.25}},
+        "engine": "splitstep",
+        "dt": 5e-3,
+        "parameters": {"ks": [1, 2, 4], "t": 0.25},
+    })
+    for lanes in (1, 2):
+        monkeypatch.setattr(propagate, "_LANES", lanes)
+        assert cli.run("sharpness", path, str(tmp_path / str(lanes))) == 2
+        meta = json.loads((tmp_path / str(lanes) / "run_meta.json").read_text())
+        assert meta["splitstep_lanes"] == lanes
+    assert (tmp_path / "1" / "report.json").read_bytes() \
+        == (tmp_path / "2" / "report.json").read_bytes()
 
 
 def test_main_env_output_override(tmp_path, monkeypatch):
