@@ -20,13 +20,19 @@ call, which the allocator may return to the kernel on free and fault in
 again on the next step.
 
 Splitstep marches the rows of a stack at once, one lane per usable core
-(the cores the process may run on): rows go round-robin to the lanes, the
-first lane runs in the caller and the others on a thread pool made on first
-use.  numpy's FFTs and large ufuncs release the GIL, and every row runs the
-same step sequence at any lane count, so the results do not depend on it.
-The caller resolves every cached phase and twiddle and allocates one work
-buffer per lane before any lane starts, and waits for every lane before it
-returns or raises.
+(the cores the process may run on): the first lane runs in the caller and
+the others on a thread pool made on first use.  No row belongs to a lane:
+before each step a lane claims the free row with the most steps left, so a
+lane that stalls (a core taken away for a while) holds back one step, not
+a share of the rows.  Where the platform has an affinity call, each lane
+keeps to a core of its own for the march (the caller's own affinity is
+restored after it), so the scheduler cannot stack two lanes on one core
+while another idles.  numpy's FFTs and large ufuncs release the GIL, and
+every row runs the same step sequence whichever lanes step it, so the
+results depend neither on the lane count nor on the timing.  The caller
+resolves every cached phase and twiddle and allocates one work buffer per
+lane before any lane starts, and waits for every lane before it returns or
+raises; after a failure the other lanes stop at their next claim.
 
 Every engine realizes exactly the times it is asked for: splitstep marches
 each interval in whole dt steps and ends it with one fractional substep for
@@ -37,6 +43,7 @@ valid because every symbol here is real and even and every potential is real.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -148,7 +155,9 @@ def _lane_pool():
 def _splitstep_march(rows: np.ndarray, spec: HamiltonianSpec, durations,
                      dt: float) -> None:
     """March row k of the C-contiguous complex stack rows through
-    durations[k] in place, the rows round-robin on min(rows, _LANES) lanes."""
+    durations[k] in place on min(rows, _LANES) lanes, each on a core of its
+    own, claiming one step at a time on the free row with the most steps
+    left."""
     durations = [float(d) for d in durations]
     if any(d < 0 for d in durations):
         raise ValueError("duration must be nonnegative")
@@ -159,30 +168,49 @@ def _splitstep_march(rows: np.ndarray, spec: HamiltonianSpec, durations,
     views = rows.reshape((len(durations),) + shape)         # no copy
     twiddles = _four_step_twiddles(g.points_per_axis, g.dim)
     full = _strang_phases(spec, dt)
-    schedule = []               # per row: whole steps, remainder phases or None
+    left, last = [], []         # per row: steps to go, remainder phases or None
     for d in durations:
         nsteps = int(round(d / dt))
         remainder = d - nsteps * dt
-        last = (_strang_phases(spec, remainder)
-                if abs(remainder) > 1e-12 * max(dt, 1.0) else None)
-        schedule.append((nsteps, last))
+        last.append(_strang_phases(spec, remainder)
+                    if abs(remainder) > 1e-12 * max(dt, 1.0) else None)
+        left.append(nsteps + (last[-1] is not None))
     lanes = max(1, min(len(durations), _LANES))
     # one buffer per lane, not one (lanes, ...) block: a grid-sized block
     # fits the holes freed heap memory leaves, so repeat runs reuse them
     work = [np.empty(shape, dtype=complex) for _ in range(lanes)]
+    free = [k for k, n in enumerate(left) if n]     # rows no lane holds
+    claim = threading.Lock()
+    failed = []
+    pin = lanes > 1 and hasattr(os, "sched_setaffinity")
+    cores = sorted(os.sched_getaffinity(0)) if pin else ()
 
     def lane(j):
-        for k in range(j, len(durations), lanes):
-            nsteps, last = schedule[k]
-            for _ in range(nsteps):
-                _strang_step(views[k], work[j], full, twiddles)
-            if last is not None:
-                _strang_step(views[k], work[j], last, twiddles)
+        if pin:     # else the scheduler may stack two lanes on one core
+            os.sched_setaffinity(0, {cores[j % len(cores)]})
+        k = None
+        while True:
+            with claim:
+                if k is not None and left[k]:
+                    free.append(k)
+                if failed or not free:
+                    return
+                k = max(free, key=left.__getitem__)
+                free.remove(k)
+            phases = last[k] if left[k] == 1 and last[k] is not None else full
+            try:
+                _strang_step(views[k], work[j], phases, twiddles)
+            except BaseException:
+                failed.append(k)
+                raise
+            left[k] -= 1
 
     futures = [_lane_pool().submit(lane, j) for j in range(1, lanes)]
     try:
         lane(0)
     finally:
+        if pin:
+            os.sched_setaffinity(0, cores)
         for f in futures:       # every lane stops before this returns or raises
             f.exception()
     for f in futures:

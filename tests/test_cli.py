@@ -815,7 +815,7 @@ def test_run_facts_go_to_run_meta_not_the_report(tmp_path, monkeypatch):
 
 
 def test_splitstep_report_is_the_same_at_one_and_two_lanes(tmp_path, monkeypatch):
-    # the three rungs of the ladder march round-robin on the lanes;
+    # the three rungs of the ladder march on the lanes, step by step;
     # run_meta.json records the lane count.  Three rungs miss the exterior
     # gate (exit 2), which does not matter here
     path = write_config(tmp_path / "cfg.json", {

@@ -501,14 +501,16 @@ def test_a_failing_lane_raises_after_every_lane_stops(monkeypatch, failing):
     plan = PropagatorPlan(spec, "splitstep", dt=1e-2)
     values = _lane_stack(grid)[:2]
     real_step = propagate._strang_step
+    failure = threading.Event()
     finished = []
 
     def planted(v, work, phases, twiddles):
         here = "caller" if threading.current_thread() is threading.main_thread() \
             else "pool"
         if here == failing:
+            failure.set()
             raise RuntimeError("planted")
-        time.sleep(1e-3)            # the other lane is still stepping
+        assert failure.wait(5.0)    # no step ends before the failure
         real_step(v, work, phases, twiddles)
         finished.append(here)
 
@@ -516,10 +518,82 @@ def test_a_failing_lane_raises_after_every_lane_stops(monkeypatch, failing):
     monkeypatch.setattr(propagate, "_strang_step", planted)
     with pytest.raises(RuntimeError, match="planted"):
         evolve_stack(plan, values, (0.2, 0.2))
-    # the lane that did not fail ran all its 20 steps before the raise
-    assert len(finished) == 20
+    # the other lane ended the step it was in, if any, and stopped at its
+    # next claim before the raise: none of its 20 steps runs afterwards
+    assert len(finished) <= 1
     time.sleep(0.05)
-    assert len(finished) == 20
+    assert len(finished) <= 1
     monkeypatch.setattr(propagate, "_strang_step", real_step)
     want = np.stack([evolve(plan, Field(grid, v), 0.2).values for v in values])
     assert np.array_equal(evolve_stack(plan, values, (0.2, 0.2)), want)
+
+
+def test_lanes_share_the_steps_of_a_stalled_lane(monkeypatch):
+    # rows belong to no lane: while one lane is stalled inside a step, the
+    # other marches every free row, so a stall holds back one step
+    grid = make_grid(1, 8.0, 256)
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(1.0))
+    plan = PropagatorPlan(spec, "splitstep", dt=1e-2)
+    values = _lane_stack(grid)
+    real_step = propagate._strang_step
+    release = threading.Event()
+    steps = {"caller": 0, "pool": 0}
+
+    def stalling(v, work, phases, twiddles):
+        here = "caller" if threading.current_thread() is threading.main_thread() \
+            else "pool"
+        if here == "pool" and not steps["pool"]:
+            assert release.wait(5.0)
+        real_step(v, work, phases, twiddles)
+        steps[here] += 1
+        if steps["caller"] == 2 * 31:   # both rows the caller could reach
+            release.set()
+
+    monkeypatch.setattr(propagate, "_LANES", 2)
+    monkeypatch.setattr(propagate, "_strang_step", stalling)
+    times = (0.31, 0.31, 0.31)
+    got = evolve_stack(plan, values, times)
+    monkeypatch.setattr(propagate, "_strang_step", real_step)
+    want = np.stack([evolve(plan, Field(grid, v), t).values
+                     for v, t in zip(values, times)])
+    assert np.array_equal(got, want)
+    assert steps["caller"] >= 2 * 31 and sum(steps.values()) == 3 * 31
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity call and two usable cores")
+@pytest.mark.parametrize("failing", [False, True])
+def test_lanes_keep_to_cores_of_their_own_and_the_caller_its_affinity(
+        monkeypatch, failing):
+    grid = make_grid(1, 8.0, 256)
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(1.0))
+    plan = PropagatorPlan(spec, "splitstep", dt=1e-2)
+    values = _lane_stack(grid)[:2]
+    real_step = propagate._strang_step
+    before = os.sched_getaffinity(0)
+    both = threading.Barrier(2, timeout=5.0)
+    cores = {"caller": set(), "pool": set()}
+
+    def recording(v, work, phases, twiddles):
+        here = "caller" if threading.current_thread() is threading.main_thread() \
+            else "pool"
+        first = not cores[here]
+        cores[here].add(frozenset(os.sched_getaffinity(0)))
+        if first:
+            both.wait()         # both lanes hold a row before any step ends
+        if failing:
+            raise RuntimeError("planted")
+        real_step(v, work, phases, twiddles)
+
+    monkeypatch.setattr(propagate, "_LANES", 2)
+    monkeypatch.setattr(propagate, "_strang_step", recording)
+    if failing:
+        with pytest.raises(RuntimeError, match="planted"):
+            evolve_stack(plan, values, (0.2, 0.2))
+    else:
+        evolve_stack(plan, values, (0.2, 0.2))
+    assert os.sched_getaffinity(0) == before
+    (caller,), (pool,) = cores["caller"], cores["pool"]
+    assert len(caller) == len(pool) == 1 and caller != pool
+    assert caller | pool <= before
