@@ -427,14 +427,147 @@ def test_twiddle_fill_holds_no_long_double_temporaries():
 
 
 def test_strang_phases_filled_in_place_equal_a_fresh_exp():
+    # kin in (k2, k1) order per axis; pot in the row order (n1, n2) per axis,
+    # cropped to its box
     grid = make_grid(2, 4.0, 32)
     spec = HamiltonianSpec.with_potential(grid, gaussian_potential(-2.0))
-    kin, pot = propagate._strang_phases.__wrapped__(spec, 0.01)
+    kin, box, pot = propagate._strang_phases.__wrapped__(spec, 0.01)
     m2, m1 = propagate._four_step_factors(32)
     want_kin = np.exp(-1j * 0.01 * kinetic_symbol(spec)).reshape(m1, m2, m1, m2)
     want_pot = np.exp(-0.5j * 0.01 * potential_on_grid(spec))
     assert np.array_equal(kin, want_kin.transpose(1, 0, 3, 2))
-    assert np.array_equal(pot, want_pot.reshape(m2, m1, m2, m1))
+    assert np.array_equal(pot, want_pot.reshape(m2, m1, m2, m1)
+                          .transpose(1, 0, 3, 2)[box])
+    assert not kin.flags.writeable and not pot.flags.writeable
+
+
+def _strided_phases(spec, dt):
+    """The (kin, pot) of the strided step: kin in (k2, k1) order, pot in
+    grid order, (m2, m1) per axis."""
+    g = spec.grid
+    m2, m1 = propagate._four_step_factors(g.points_per_axis)
+    swap = [ax ^ 1 for ax in range(2 * g.dim)]
+    kin = np.exp(-1j * dt * kinetic_symbol(spec)).reshape((m1, m2) * g.dim)
+    pot = np.exp(-0.5j * dt * potential_on_grid(spec))
+    return (np.ascontiguousarray(kin.transpose(swap)),
+            pot.reshape((m2, m1) * g.dim))
+
+
+def _strided_strang_step(v, work, phases, twiddles):
+    """The reference Strang step: v in grid order, viewed as (m2, m1) per
+    axis, the m2 passes strided over it, the potential over every point."""
+    kin, pot = phases
+    tw, twc = twiddles
+    rows, cols = tuple(range(0, v.ndim, 2)), tuple(range(1, v.ndim, 2))
+    np.multiply(pot, v, out=v)
+    np.fft.fftn(v, axes=rows, out=work)
+    np.multiply(tw, work, out=work)
+    np.fft.fftn(work, axes=cols, out=v)
+    np.multiply(kin, v, out=v)
+    np.fft.ifftn(v, axes=cols, out=work)
+    np.multiply(twc, work, out=work)
+    np.fft.ifftn(work, axes=rows, out=v)
+    np.multiply(pot, v, out=v)
+
+
+def _strided_evolve(spec, v, t, dt):
+    """e^{-itH} v for a signed t by the reference step: whole dt steps, one
+    remainder substep, a negative t through conjugation."""
+    g = spec.grid
+    shape = propagate._four_step_factors(g.points_per_axis) * g.dim
+    u = (np.conj(v) if t < 0 else v.copy()).reshape(shape)
+    work = np.empty(shape, dtype=complex)
+    twiddles = propagate._four_step_twiddles(g.points_per_axis, g.dim)
+    nsteps = int(round(abs(t) / dt))
+    remainder = abs(t) - nsteps * dt
+    full = _strided_phases(spec, dt)
+    for _ in range(nsteps):
+        _strided_strang_step(u, work, full, twiddles)
+    if abs(remainder) > 1e-12 * max(dt, 1.0):
+        _strided_strang_step(u, work, _strided_phases(spec, remainder),
+                             twiddles)
+    u = u.reshape(g.shape)
+    return np.conj(u) if t < 0 else u
+
+
+@pytest.mark.parametrize("well", [True, False])
+@pytest.mark.parametrize("dim,points", [(1, 8), (1, 1024), (1, 131072),
+                                        (2, 8), (2, 32)])
+def test_splitstep_march_is_bit_identical_to_the_strided_step(dim, points,
+                                                              well):
+    # same 1-D transforms in the same per-axis order, same products: the
+    # row layout and the potential box change no bit, at any step count,
+    # with a remainder substep or at a negative time
+    grid = make_grid(dim, 512.0 if points == 131072 else 4.0, points)
+    spec = (HamiltonianSpec.with_potential(grid, gaussian_potential(0.25))
+            if well else HamiltonianSpec.free(grid))
+    dt = 1e-2
+    times = (0.0537, -0.0312, 0.02) if points == 131072 else (0.503, -0.2188, 0.31)
+    values = np.stack([_random_field(grid, seed) for seed in (1, 2, 3)])
+    want = np.stack([_strided_evolve(spec, v, t, dt)
+                     for v, t in zip(values, times)])
+    got = evolve_stack(PropagatorPlan(spec, "splitstep", dt=dt), values, times)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,points,extent,amplitude",
+                         [(1, 131072, 512.0, 0.25), (1, 1024, 64.0, -2.0),
+                          (2, 32, 8.0, -2.0), (2, 64, 16.0, 0.25),
+                          (1, 256, 8.0, None)])
+def test_potential_phase_is_exactly_one_outside_its_box(dim, points, extent,
+                                                        amplitude):
+    grid = make_grid(dim, extent, points)
+    spec = (HamiltonianSpec.free(grid) if amplitude is None else
+            HamiltonianSpec.with_potential(grid, gaussian_potential(amplitude)))
+    _, box, pot = propagate._strang_phases(spec, 2e-3)
+    swap = [ax ^ 1 for ax in range(2 * dim)]     # into the row order
+    full = _strided_phases(spec, 2e-3)[1].transpose(swap)
+    assert np.array_equal(full[box], pot)
+    outside = np.ones(full.shape, dtype=bool)
+    outside[box] = False
+    assert np.all(full[outside] == 1)
+    if amplitude is not None:   # the box is the smallest: its edges are not 1
+        for ax in range(1, 2 * dim, 2):
+            edges = np.moveaxis(pot, ax, 0)
+            assert np.any(edges[0] != 1) and np.any(edges[-1] != 1)
+
+
+def test_potential_box_on_the_sharpness_splitstep_grid():
+    # 0.25 e^{-x^2} underflows to exactly 0 beyond |x| ~ 27.3: 14 of the 256
+    # slow-index columns, of 512 points each, hold a phase that is not 1
+    grid = make_grid(1, 512.0, 131072)
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(0.25))
+    _, box, pot = propagate._strang_phases(spec, 2e-3)
+    assert propagate._four_step_factors(131072) == (256, 512)
+    assert box[0] == slice(None) and box[1].stop - box[1].start == 14
+    assert pot.shape == (512, 14)
+
+
+def test_a_free_hamiltonian_has_an_empty_potential_box():
+    for grid in (make_grid(1, 8.0, 1024), make_grid(2, 4.0, 32)):
+        _, box, pot = propagate._strang_phases(HamiltonianSpec.free(grid), 1e-2)
+        assert pot.size == 0
+        assert all(s.start == s.stop for s in box[1::2])
+
+
+def test_a_warm_stack_march_allocates_one_work_buffer_per_lane():
+    # the transposes into and out of the row order go through lane 0's
+    # buffer, and the m2 passes write and read the work buffers transposed,
+    # so a warm march holds no other grid-sized array (numpy buffers the
+    # strided potential box, about 0.2 MB a lane at 131072 points)
+    grid = make_grid(1, 512.0, 131072)
+    spec = HamiltonianSpec.with_potential(grid, gaussian_potential(0.25))
+    rows = np.stack([_random_field(grid, seed) for seed in range(4)])
+    durations = [0.033, 0.033, 0.02, 0.02]
+    propagate._splitstep_march(rows, spec, durations, 1e-2)    # warm
+    lanes = max(1, min(len(durations), propagate._LANES))
+    tracemalloc.start()
+    try:
+        propagate._splitstep_march(rows, spec, durations, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lanes * rows[0].nbytes + rows[0].nbytes // 2, peak
 
 
 def _lane_stack(grid):
